@@ -29,34 +29,9 @@
 //! primitive ops remain — tests use them as the numerical reference.
 
 use crate::activations as act;
-use crate::index::{IndexInput, IndexList, SharedIndices};
-use rayon::WorkerPool;
+use crate::index::{IndexInput, IndexList};
 use rn_tensor::simd::activations as vact;
-use rn_tensor::{kernels, Matrix};
-use std::sync::{Arc, Mutex};
-
-/// Environment variable toggling zero-copy index recording (default **on**;
-/// set to `0`, `false` or `off` to force the copying path). When on, callers
-/// holding long-lived structure (a cached megabatch composition) hand the
-/// tape refcounted [`SharedIndices`] views and no index list is copied per
-/// step; when off, every list goes through the pooled-copy path. Both modes
-/// are bitwise identical — the recorded contents are the same.
-pub const ZERO_COPY_ENV: &str = "RN_ZERO_COPY";
-
-/// Parse an `RN_ZERO_COPY` setting (`None` = unset = on).
-pub fn parse_zero_copy(raw: Option<&str>) -> bool {
-    !matches!(
-        raw.map(str::trim),
-        Some("0") | Some("false") | Some("off") | Some("FALSE") | Some("OFF")
-    )
-}
-
-/// Process-wide default for zero-copy mode, read from [`ZERO_COPY_ENV`] once.
-fn env_zero_copy() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| parse_zero_copy(std::env::var(ZERO_COPY_ENV).ok().as_deref()))
-}
+use rn_tensor::Matrix;
 
 /// Handle to a node on the tape. Cheap to copy; only valid for the [`Graph`]
 /// that produced it.
@@ -108,215 +83,6 @@ pub(crate) struct GruSaved {
     mask: Option<Matrix>,
 }
 
-/// Borrowed shard layout handed to the sharded fused ops at record time.
-///
-/// A megabatch packs `B` samples block-diagonally; its plan precompiles, per
-/// fused op, where each sample's slice of the work lives. All three arrays
-/// have `B + 1` ascending entries:
-///
-/// - `active`: offsets into the op's active row/index list (`rows`, `ids`);
-///   shard `s` owns entries `active[s]..active[s+1]`.
-/// - `dense`: row bounds of the dense per-path state the op reads/writes.
-/// - `entity`: row bounds of the entity space gathered from / scattered into.
-///
-/// Because the megabatch is block-diagonal, shard `s`'s active entries only
-/// reference dense rows in `dense[s]..dense[s+1]` and entity rows in
-/// `entity[s]..entity[s+1]` — which is what makes every shard's reads and
-/// writes disjoint, and therefore parallelizable without changing a single
-/// bit of the result.
-#[derive(Debug, Clone)]
-pub struct ShardSplit<'a> {
-    /// Offsets into the op's active list (len `B + 1`).
-    pub active: IndexInput<'a>,
-    /// Dense (path-state) row bounds (len `B + 1`), spanning all rows.
-    pub dense: IndexInput<'a>,
-    /// Entity (gather/scatter target) row bounds (len `B + 1`).
-    pub entity: IndexInput<'a>,
-}
-
-impl<'a> ShardSplit<'a> {
-    /// Build a split from three borrowed slices — the copying contract every
-    /// pre-zero-copy caller used (and tests still use).
-    pub fn borrowed(active: &'a [usize], dense: &'a [usize], entity: &'a [usize]) -> Self {
-        Self {
-            active: active.into(),
-            dense: dense.into(),
-            entity: entity.into(),
-        }
-    }
-}
-
-/// Owned capture of a [`ShardSplit`] stored on a tape node: pooled copies
-/// (recycled through the index pool on [`Graph::reset`]) or zero-copy shared
-/// views, mirroring what the caller handed in.
-#[derive(Debug, Default)]
-pub(crate) struct OpShards {
-    active: IndexList,
-    dense: IndexList,
-    entity: IndexList,
-}
-
-impl OpShards {
-    /// Number of shards.
-    fn len(&self) -> usize {
-        self.active.len().saturating_sub(1)
-    }
-
-    fn capture(idx_pool: &mut Vec<Vec<usize>>, copied: &mut u64, split: &ShardSplit<'_>) -> Self {
-        Self {
-            active: intern_indices(idx_pool, copied, &split.active),
-            dense: intern_indices(idx_pool, copied, &split.dense),
-            entity: intern_indices(idx_pool, copied, &split.entity),
-        }
-    }
-
-    fn recycle(self, idx_pool: &mut Vec<Vec<usize>>) {
-        recycle_index(idx_pool, self.active);
-        recycle_index(idx_pool, self.dense);
-        recycle_index(idx_pool, self.entity);
-    }
-}
-
-/// Validate a shard split against the op's active-list length and the row
-/// counts of the spaces it partitions (`None` skips that check).
-fn validate_split(
-    split: &ShardSplit<'_>,
-    active_len: usize,
-    dense_rows: Option<usize>,
-    entity_rows: Option<usize>,
-) {
-    let check = |bounds: &[usize], total: usize, what: &str| {
-        assert!(
-            bounds.first() == Some(&0) && bounds.last() == Some(&total),
-            "shard split: {what} bounds must span 0..{total}, got {bounds:?}"
-        );
-        assert!(
-            bounds.windows(2).all(|w| w[0] <= w[1]),
-            "shard split: {what} bounds must be ascending"
-        );
-    };
-    check(split.active.as_slice(), active_len, "active");
-    if let Some(n) = dense_rows {
-        check(split.dense.as_slice(), n, "dense");
-    }
-    if let Some(n) = entity_rows {
-        check(split.entity.as_slice(), n, "entity");
-    }
-    assert_eq!(
-        split.active.as_slice().len(),
-        split.dense.as_slice().len(),
-        "shard split: bounds arrays must agree on shard count"
-    );
-    assert_eq!(
-        split.active.as_slice().len(),
-        split.entity.as_slice().len(),
-        "shard split: bounds arrays must agree on shard count"
-    );
-}
-
-/// Validate a dense row-bounds partition (ascending, spanning `0..rows`)
-/// and capture it into a pooled index buffer when it actually splits the
-/// rows (more than one shard). Dense sharded ops — the readout matmuls, bias
-/// adds and SELU maps, and the link/node GRU updates — carry only this one
-/// bounds array: every row is active, so there is no separate active/entity
-/// indirection like the [`ShardSplit`] of the compacted message-passing ops.
-fn capture_dense_shards(
-    idx_pool: &mut Vec<Vec<usize>>,
-    copied: &mut u64,
-    bounds: Option<&IndexInput<'_>>,
-    rows: usize,
-) -> Option<IndexList> {
-    let input = bounds?;
-    let b = input.as_slice();
-    assert!(
-        b.first() == Some(&0) && b.last() == Some(&rows),
-        "dense shards: bounds must span 0..{rows}, got {b:?}"
-    );
-    assert!(
-        b.windows(2).all(|w| w[0] <= w[1]),
-        "dense shards: bounds must be ascending"
-    );
-    (b.len() > 2).then(|| intern_indices(idx_pool, copied, input))
-}
-
-/// Minimum per-op element-traffic estimate before fanning out to the
-/// worker pool: below this, dispatch latency beats the parallel win (late
-/// sequence positions have a handful of active rows). Inline vs pooled
-/// execution is bitwise identical, so this is purely a scheduling
-/// heuristic.
-const PAR_MIN_ELEMS: usize = 4096;
-
-/// The pool, if the estimated work is heavy enough to be worth a dispatch.
-fn pool_if_worth(
-    pool: &Option<Arc<WorkerPool>>,
-    threshold: usize,
-    work_elems: usize,
-) -> Option<&WorkerPool> {
-    pool.as_deref().filter(|_| work_elems >= threshold)
-}
-
-/// Run `f` over every task, inline or fanned out on the worker pool.
-///
-/// Workers pick tasks round-robin by index; since every task's result is a
-/// pure function of its inputs (disjoint writes, shard-local scratch), the
-/// produced bits do not depend on the worker count — including zero workers
-/// (the inline path). `f` must not panic-degrade shared state; a panicking
-/// task propagates out of the pool.
-fn run_shard_tasks<T: Send>(pool: Option<&WorkerPool>, tasks: &mut [T], f: impl Fn(&mut T) + Sync) {
-    match pool {
-        Some(pool) if tasks.len() > 1 => {
-            let workers = pool.workers();
-            let slots: Vec<Mutex<&mut T>> = tasks.iter_mut().map(Mutex::new).collect();
-            pool.run(&|w| {
-                for (s, slot) in slots.iter().enumerate() {
-                    if s % workers == w {
-                        let mut guard = slot.lock().expect("shard task poisoned");
-                        f(&mut **guard);
-                    }
-                }
-            });
-        }
-        _ => {
-            for t in tasks.iter_mut() {
-                f(t);
-            }
-        }
-    }
-}
-
-/// Run `f` over disjoint element chunks of `dst`, inline or on the pool.
-///
-/// The chunk boundaries are a pure function of `dst.len()` (fixed block
-/// size), never of the worker count, and [`kernels::reduce_partials`]'s
-/// per-element accumulation order is chunking-invariant besides — so the
-/// merged bits cannot depend on scheduling.
-fn reduce_partials_parallel(pool: Option<&WorkerPool>, dst: &mut Matrix, partials: &[&Matrix]) {
-    const CHUNK: usize = 4096;
-    let parts: Vec<&[f32]> = partials.iter().map(|p| p.as_slice()).collect();
-    let d = dst.as_mut_slice();
-    if pool.is_none() || d.len() <= CHUNK {
-        kernels::reduce_partials(d, 0, &parts);
-        return;
-    }
-    let mut tasks: Vec<(usize, &mut [f32])> = Vec::with_capacity(d.len() / CHUNK + 1);
-    let mut rest = d;
-    let mut offset = 0;
-    while !rest.is_empty() {
-        let take = rest.len().min(CHUNK);
-        let (chunk, tail) = rest.split_at_mut(take);
-        tasks.push((offset, chunk));
-        offset += take;
-        rest = tail;
-    }
-    run_shard_tasks(
-        pool,
-        &mut tasks,
-        |(off, chunk): &mut (usize, &mut [f32])| {
-            kernels::reduce_partials(chunk, *off, &parts);
-        },
-    );
-}
-
 /// Recorded operation: the inputs and any auxiliary data the adjoint needs.
 #[derive(Debug)]
 pub(crate) enum Op {
@@ -328,23 +94,15 @@ pub(crate) enum Op {
     Add(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    /// Matrix product `a · b`. `shards`, when present, is a dense row-bounds
-    /// partition of `a`'s (and the output's) rows: the forward computes each
-    /// output row block independently (bitwise identical to one full call),
-    /// and the adjoint row-blocks the input gradient while accumulating
-    /// `b`'s weight gradient as per-shard partials merged in shard order.
+    /// Matrix product `a · b`.
     MatMul {
         a: Var,
         b: Var,
-        shards: Option<IndexList>,
     },
-    /// Broadcast-add a `1 x c` bias row to every row of `x`. `shards` is a
-    /// dense row partition (see [`Op::MatMul`]); the sharded adjoint reduces
-    /// the bias gradient as per-shard column-sum partials in shard order.
+    /// Broadcast-add a `1 x c` bias row to every row of `x`.
     AddBias {
         x: Var,
         bias: Var,
-        shards: Option<IndexList>,
     },
     /// Element-wise `a * x + b`. Only the slope is recorded: the adjoint of
     /// an affine map does not depend on the offset.
@@ -355,14 +113,7 @@ pub(crate) enum Op {
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    /// SELU activation. `shards` is a dense row partition (see
-    /// [`Op::MatMul`]): element-wise work is trivially row-decomposable, so
-    /// forward and adjoint fan row blocks across the pool bitwise-safely.
-    /// The readout MLP's hidden layers are the only heavy SELU consumers.
-    Selu {
-        x: Var,
-        shards: Option<IndexList>,
-    },
+    Selu(Var),
     Softplus(Var),
     Abs(Var),
     Square(Var),
@@ -380,9 +131,6 @@ pub(crate) enum Op {
     GatherRows {
         x: Var,
         indices: IndexList,
-        /// Megabatch shard layout (`active` splits `indices`; `entity`
-        /// bounds the rows of `x` the adjoint scatters into).
-        shards: Option<Box<OpShards>>,
     },
     SegmentSum {
         x: Var,
@@ -426,11 +174,6 @@ pub(crate) enum Op {
         x: Var,
         rows: IndexList,
         saved: Box<GruSaved>,
-        /// Megabatch shard layout (`active` splits `rows`; `dense` bounds
-        /// the rows of `h`). When present, the adjoint accumulates the GRU
-        /// parameter gradients as per-shard partials merged in shard order —
-        /// a canonical order that does not depend on how many workers run.
-        shards: Option<Box<OpShards>>,
     },
     /// Row-compacted scatter-add accumulate:
     /// `out = acc; out[segments[k]] += x[rows[k]]`.
@@ -439,9 +182,6 @@ pub(crate) enum Op {
         x: Var,
         rows: IndexList,
         segments: IndexList,
-        /// Megabatch shard layout (`active` splits `rows`/`segments`;
-        /// `dense` bounds the rows of `x`, `entity` the rows of `acc`).
-        shards: Option<Box<OpShards>>,
     },
 }
 
@@ -481,24 +221,10 @@ pub struct Graph {
     /// an `n x state_dim` copy per sequence position. The consumed input
     /// `Var`'s value becomes empty — see [`Graph::gru_step_rows`].
     inference_mode: bool,
-    /// Optional gang for intra-megabatch sharding: fused ops recorded with a
-    /// [`ShardSplit`] fan their per-shard work out to these workers. Results
-    /// are bitwise identical with and without the pool, at any worker count.
-    worker_pool: Option<Arc<WorkerPool>>,
-    /// Work-size floor (estimated element traffic) below which sharded ops
-    /// skip the pool and run inline; 0 forces every sharded op through the
-    /// pool. Defaults to `PAR_MIN_ELEMS` (set lazily on first use).
-    par_threshold: Option<usize>,
     /// Cumulative count of index words the tape has copied into pooled
-    /// buffers (never cleared by `reset`). Zero-copy tests assert this stays
+    /// buffers (never cleared by `reset`). Tests assert this stays
     /// flat across steps bound against a cached composition.
     idx_copied: u64,
-    /// Zero-copy override: `Some` wins over the `RN_ZERO_COPY` env knob.
-    zero_copy: Option<bool>,
-    /// Grow-only identity prefix `0..cap`, shared with dense fused steps in
-    /// zero-copy mode so they stop materializing a per-step identity row
-    /// list.
-    identity: Option<Arc<[usize]>>,
 }
 
 /// Pop a recycled buffer (or allocate) and shape it into a zeroed matrix.
@@ -643,390 +369,6 @@ fn gate_matmuls(
     }
 }
 
-/// Read-only inputs shared by every shard of one fused row-compacted GRU
-/// step forward.
-struct GruRowsFwdCtx<'a> {
-    /// Old state `h`, `n x hidden` — `None` when the step runs in place (the
-    /// state rows then live in each shard's `out` block already).
-    hv: Option<&'a [f32]>,
-    /// Compacted input `x`, `a x input`.
-    xv: &'a [f32],
-    /// Active row per compacted position.
-    rows: &'a [usize],
-    w_z: &'a Matrix,
-    b_z: &'a [f32],
-    w_r: &'a Matrix,
-    b_r: &'a [f32],
-    w_c: &'a Matrix,
-    b_c: &'a [f32],
-    /// Merged `[W_z|W_r]` kernel, when bound.
-    w_zr: Option<&'a Matrix>,
-    hidden: usize,
-    input: usize,
-}
-
-/// One shard's mutable slices for the fused GRU step forward. `k_*` index
-/// the compacted (active) dimension, `p_*` the dense state rows; all slices
-/// are exactly the shard's disjoint blocks of the shared buffers.
-struct GruRowsFwdTask<'a> {
-    k_lo: usize,
-    k_hi: usize,
-    p_lo: usize,
-    hx: &'a mut [f32],
-    zr: Option<&'a mut [f32]>,
-    z: &'a mut [f32],
-    r: &'a mut [f32],
-    rhx: &'a mut [f32],
-    c: &'a mut [f32],
-    /// Dense state rows `p_lo..p_hi`: on entry either uninitialized (copy
-    /// mode: filled from `ctx.hv` first) or holding the old state rows
-    /// (in-place mode); on exit, the stepped state.
-    out: &'a mut [f32],
-}
-
-/// Advance one shard of a row-compacted GRU step (see
-/// [`Graph::gru_step_rows`]). Every read and write stays inside the shard's
-/// blocks, and each output element is computed with exactly the arithmetic
-/// of the unsharded kernel — which is what makes any shard decomposition,
-/// on any number of threads, bitwise identical.
-fn gru_rows_forward_shard(ctx: &GruRowsFwdCtx<'_>, t: &mut GruRowsFwdTask<'_>) {
-    let (hidden, input) = (ctx.hidden, ctx.input);
-    let width = hidden + input;
-    let a_s = t.k_hi - t.k_lo;
-    // Copy mode: materialize the shard's old state rows first; afterwards
-    // both modes read old state from `out`.
-    if let Some(hv) = ctx.hv {
-        t.out
-            .copy_from_slice(&hv[t.p_lo * hidden..t.p_lo * hidden + t.out.len()]);
-    }
-    // hx = [h | x] over the shard's active rows.
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let h_off = (row - t.p_lo) * hidden;
-        let dst = &mut t.hx[k * width..(k + 1) * width];
-        dst[..hidden].copy_from_slice(&t.out[h_off..h_off + hidden]);
-        dst[hidden..].copy_from_slice(&ctx.xv[(t.k_lo + k) * input..(t.k_lo + k + 1) * input]);
-    }
-    // Gate pre-activations: through the merged kernel when bound (one matmul
-    // over hx, split into z|r — per-element order identical to the split
-    // matmuls), else two matmuls.
-    match (ctx.w_zr, t.zr.as_deref_mut()) {
-        (Some(wzr), Some(zr)) => {
-            zr.fill(0.0);
-            kernels::matmul_acc(t.hx, wzr.as_slice(), a_s, width, 2 * hidden, zr);
-            for k in 0..a_s {
-                let src = &zr[k * 2 * hidden..(k + 1) * 2 * hidden];
-                t.z[k * hidden..(k + 1) * hidden].copy_from_slice(&src[..hidden]);
-                t.r[k * hidden..(k + 1) * hidden].copy_from_slice(&src[hidden..]);
-            }
-        }
-        _ => {
-            t.z.fill(0.0);
-            kernels::matmul_acc(t.hx, ctx.w_z.as_slice(), a_s, width, hidden, t.z);
-            t.r.fill(0.0);
-            kernels::matmul_acc(t.hx, ctx.w_r.as_slice(), a_s, width, hidden, t.r);
-        }
-    }
-    // Fused bias + activation over the shard's whole gate block (same
-    // per-element chain as the row loop, vectorized).
-    if hidden > 0 {
-        vact::sigmoid_bias_map_inplace(&mut t.z[..a_s * hidden], ctx.b_z);
-        vact::sigmoid_bias_map_inplace(&mut t.r[..a_s * hidden], ctx.b_r);
-    }
-    // rhx = [r ⊙ h | x]; candidate c = tanh(rhx·W_c + b_c).
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let h_off = (row - t.p_lo) * hidden;
-        let dst = &mut t.rhx[k * width..(k + 1) * width];
-        for (j, d) in dst[..hidden].iter_mut().enumerate() {
-            *d = t.r[k * hidden + j] * t.out[h_off + j];
-        }
-        dst[hidden..].copy_from_slice(&ctx.xv[(t.k_lo + k) * input..(t.k_lo + k + 1) * input]);
-    }
-    t.c.fill(0.0);
-    kernels::matmul_acc(t.rhx, ctx.w_c.as_slice(), a_s, width, hidden, t.c);
-    if hidden > 0 {
-        vact::tanh_bias_map_inplace(&mut t.c[..a_s * hidden], ctx.b_c);
-    }
-    // h' = (1 − z)⊙h + z⊙c on the active rows; inactive rows pass through.
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let h_off = (row - t.p_lo) * hidden;
-        for j in 0..hidden {
-            let hvj = t.out[h_off + j];
-            let (zj, cj) = (t.z[k * hidden + j], t.c[k * hidden + j]);
-            t.out[h_off + j] = (1.0 - zj) * hvj + zj * cj;
-        }
-    }
-}
-
-/// Read-only inputs shared by every shard of one fused row-compacted GRU
-/// step adjoint.
-struct GruRowsBwdCtx<'a> {
-    rows: &'a [usize],
-    /// Incoming gradient (`n x hidden`).
-    g: &'a [f32],
-    /// Old state value (`n x hidden`).
-    hv: &'a [f32],
-    saved: &'a GruSaved,
-    /// Transposed kernels, computed once per node and shared read-only.
-    w_t_z: &'a Matrix,
-    w_t_r: &'a Matrix,
-    w_t_c: &'a Matrix,
-    hidden: usize,
-    input: usize,
-}
-
-/// Shard-local scratch for the GRU adjoint: intermediates plus the shard's
-/// parameter-gradient **partials** (`pw_*`/`pb_*`, accumulated from zero and
-/// merged into the gradient slots in fixed shard order afterwards).
-struct GruBwdScratch {
-    gm: Matrix,
-    gz: Matrix,
-    gc: Matrix,
-    gr: Matrix,
-    g_rhx: Matrix,
-    g_hx: Matrix,
-    pw_z: Matrix,
-    pb_z: Matrix,
-    pw_r: Matrix,
-    pb_r: Matrix,
-    pw_c: Matrix,
-    pb_c: Matrix,
-}
-
-impl GruBwdScratch {
-    /// Return every scratch matrix — intermediates AND parameter partials —
-    /// to the free list. The single field list both backward branches
-    /// recycle through, so adding a field to this struct cannot leak on
-    /// one branch only.
-    fn recycle(self, pool: &mut Vec<Vec<f32>>) {
-        for m in [
-            self.gm, self.gz, self.gc, self.gr, self.g_rhx, self.g_hx, self.pw_z, self.pb_z,
-            self.pw_r, self.pb_r, self.pw_c, self.pb_c,
-        ] {
-            pool_recycle(pool, m);
-        }
-    }
-}
-
-/// One shard's mutable state for the GRU adjoint.
-struct GruRowsBwdTask<'a> {
-    k_lo: usize,
-    k_hi: usize,
-    p_lo: usize,
-    /// Dense block of the state gradient (rows `p_lo..p_hi`).
-    gh: &'a mut [f32],
-    /// Active block of the compacted input gradient (rows `k_lo..k_hi`).
-    gx: &'a mut [f32],
-    scratch: GruBwdScratch,
-}
-
-/// Chunk size (elements) for fanning element-wise adjoints across the
-/// worker pool. A multiple of the 8-lane vector width, so every chunk
-/// decomposes into the same main/tail lanes the monolithic sweep would use.
-const ELEMWISE_CHUNK: usize = 4096;
-
-/// Run a `dst[i] = kernel(g[i], src[i])`-shaped adjoint over fixed chunks,
-/// fanned across the worker pool when attached. Position-independent
-/// element maps split at any boundary without changing bits, so this is
-/// bitwise identical to one whole-slice kernel call at any worker count.
-fn run_elementwise_chunks(
-    pool: Option<&WorkerPool>,
-    g: &[f32],
-    src: &[f32],
-    dst: &mut [f32],
-    kernel: fn(&[f32], &[f32], &mut [f32]),
-) {
-    debug_assert_eq!(g.len(), dst.len());
-    debug_assert_eq!(src.len(), dst.len());
-    let mut tasks: Vec<(usize, &mut [f32])> = dst
-        .chunks_mut(ELEMWISE_CHUNK)
-        .enumerate()
-        .map(|(i, chunk)| (i * ELEMWISE_CHUNK, chunk))
-        .collect();
-    run_shard_tasks(
-        pool,
-        &mut tasks,
-        |(off, chunk): &mut (usize, &mut [f32])| {
-            let len = chunk.len();
-            kernel(&g[*off..*off + len], &src[*off..*off + len], chunk);
-        },
-    );
-}
-
-/// `acc[0..cols] += column sums of the rows of src` (slice form of
-/// [`add_col_sums`]).
-fn add_col_sums_slice(acc: &mut [f32], src: &[f32], cols: usize) {
-    for row in src.chunks_exact(cols) {
-        for (a, &v) in acc.iter_mut().zip(row) {
-            *a += v;
-        }
-    }
-}
-
-/// The adjoint of one shard of a row-compacted GRU step. Row-disjoint
-/// gradients (`gh`, `gx`) are written with exactly the unsharded kernel's
-/// per-element arithmetic; parameter gradients land in the shard's zeroed
-/// partials. Reads and writes never leave the shard's blocks, so shards run
-/// concurrently and bitwise-reproducibly at any worker count.
-fn gru_rows_backward_shard(ctx: &GruRowsBwdCtx<'_>, t: &mut GruRowsBwdTask<'_>) {
-    let (hidden, input) = (ctx.hidden, ctx.input);
-    let width = hidden + input;
-    let a_s = t.k_hi - t.k_lo;
-    let s = ctx.saved;
-    let sc = &mut t.scratch;
-
-    // Pass-through rows keep the incoming gradient; active rows are replaced
-    // by the GRU adjoint below.
-    t.gh.copy_from_slice(&ctx.g[t.p_lo * hidden..t.p_lo * hidden + t.gh.len()]);
-
-    // Compact incoming gradient over the shard's active rows.
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        sc.gm
-            .row_mut(k)
-            .copy_from_slice(&ctx.g[row * hidden..(row + 1) * hidden]);
-    }
-
-    // gz = gm ⊙ (c - h); gc = gm ⊙ z; gh[row] = gm ⊙ (1-z)
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let gm_r = sc.gm.row(k);
-        let zr = s.z.row(t.k_lo + k);
-        let cr = s.c.row(t.k_lo + k);
-        let hr = &ctx.hv[row * hidden..(row + 1) * hidden];
-        {
-            let gz_r = sc.gz.row_mut(k);
-            for j in 0..hidden {
-                gz_r[j] = gm_r[j] * (cr[j] - hr[j]);
-            }
-        }
-        {
-            let gc_r = sc.gc.row_mut(k);
-            for j in 0..hidden {
-                gc_r[j] = gm_r[j] * zr[j];
-            }
-        }
-        {
-            let gh_r = &mut t.gh[(row - t.p_lo) * hidden..(row - t.p_lo + 1) * hidden];
-            for j in 0..hidden {
-                gh_r[j] = gm_r[j] * (1.0 - zr[j]);
-            }
-        }
-    }
-
-    // Candidate branch: gc_pre = gc ⊙ (1 - c²), vectorized in place.
-    vact::tanh_deriv_mul_inplace(
-        sc.gc.as_mut_slice(),
-        &s.c.as_slice()[t.k_lo * hidden..t.k_hi * hidden],
-    );
-    // pW_c += rhx_shard^T · gc_pre ; pb_c += colsum(gc_pre)
-    kernels::matmul_tn_acc(
-        &s.rhx.as_slice()[t.k_lo * width..t.k_hi * width],
-        sc.gc.as_slice(),
-        a_s,
-        width,
-        hidden,
-        sc.pw_c.as_mut_slice(),
-    );
-    add_col_sums_slice(sc.pb_c.as_mut_slice(), sc.gc.as_slice(), hidden);
-    // g_rhx = gc_pre · W_c^T
-    sc.g_rhx.as_mut_slice().fill(0.0);
-    kernels::matmul_acc(
-        sc.gc.as_slice(),
-        ctx.w_t_c.as_slice(),
-        a_s,
-        hidden,
-        width,
-        sc.g_rhx.as_mut_slice(),
-    );
-
-    // Split g_rhx: left -> r⊙h branch, right -> x
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let row_slice = sc.g_rhx.row(k);
-        let rr = s.r.row(t.k_lo + k);
-        let hr = &ctx.hv[row * hidden..(row + 1) * hidden];
-        {
-            let gr_r = sc.gr.row_mut(k);
-            for j in 0..hidden {
-                gr_r[j] = row_slice[j] * hr[j];
-            }
-        }
-        {
-            let gh_r = &mut t.gh[(row - t.p_lo) * hidden..(row - t.p_lo + 1) * hidden];
-            for j in 0..hidden {
-                gh_r[j] += row_slice[j] * rr[j];
-            }
-        }
-        t.gx[k * input..(k + 1) * input].copy_from_slice(&row_slice[hidden..]);
-    }
-
-    // Gate pre-activations: σ' from outputs, vectorized in place.
-    vact::sigmoid_deriv_mul_inplace(
-        sc.gz.as_mut_slice(),
-        &s.z.as_slice()[t.k_lo * hidden..t.k_hi * hidden],
-    );
-    vact::sigmoid_deriv_mul_inplace(
-        sc.gr.as_mut_slice(),
-        &s.r.as_slice()[t.k_lo * hidden..t.k_hi * hidden],
-    );
-
-    let hx_shard = &s.hx.as_slice()[t.k_lo * width..t.k_hi * width];
-    kernels::matmul_tn_acc(
-        hx_shard,
-        sc.gz.as_slice(),
-        a_s,
-        width,
-        hidden,
-        sc.pw_z.as_mut_slice(),
-    );
-    add_col_sums_slice(sc.pb_z.as_mut_slice(), sc.gz.as_slice(), hidden);
-    kernels::matmul_tn_acc(
-        hx_shard,
-        sc.gr.as_slice(),
-        a_s,
-        width,
-        hidden,
-        sc.pw_r.as_mut_slice(),
-    );
-    add_col_sums_slice(sc.pb_r.as_mut_slice(), sc.gr.as_slice(), hidden);
-
-    // g_hx = gz_pre·W_z^T + gr_pre·W_r^T
-    sc.g_hx.as_mut_slice().fill(0.0);
-    kernels::matmul_acc(
-        sc.gz.as_slice(),
-        ctx.w_t_z.as_slice(),
-        a_s,
-        hidden,
-        width,
-        sc.g_hx.as_mut_slice(),
-    );
-    kernels::matmul_acc(
-        sc.gr.as_slice(),
-        ctx.w_t_r.as_slice(),
-        a_s,
-        hidden,
-        width,
-        sc.g_hx.as_mut_slice(),
-    );
-    for k in 0..a_s {
-        let row = ctx.rows[t.k_lo + k];
-        let row_slice = sc.g_hx.row(k);
-        {
-            let gh_r = &mut t.gh[(row - t.p_lo) * hidden..(row - t.p_lo + 1) * hidden];
-            for j in 0..hidden {
-                gh_r[j] += row_slice[j];
-            }
-        }
-        let gx_r = &mut t.gx[k * input..(k + 1) * input];
-        for (gxv, &v) in gx_r.iter_mut().zip(&row_slice[hidden..]) {
-            *gxv += v;
-        }
-    }
-}
-
 /// Copy `[left_row | right_row]` into each row of `out`.
 fn concat_rows_into(out: &mut Matrix, left: &Matrix, right: &Matrix) {
     let (n, lc, rc) = (left.rows(), left.cols(), right.cols());
@@ -1093,67 +435,12 @@ impl Graph {
         self.inference_mode
     }
 
-    /// Attach (or detach) a worker gang for intra-megabatch sharding. Fused
-    /// ops recorded with a [`ShardSplit`] run their per-shard forward kernels
-    /// on the gang, and [`Graph::backward`] fans per-shard adjoints out to
-    /// it. Pure acceleration: results are bitwise identical with `None`,
-    /// with one worker, or with sixty-four. Survives [`Graph::reset`].
-    pub fn set_worker_pool(&mut self, pool: Option<Arc<WorkerPool>>) {
-        self.worker_pool = pool;
-    }
-
-    /// The attached shard worker gang, if any.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.worker_pool.as_ref()
-    }
-
-    /// Override the work-size floor below which sharded ops run inline
-    /// instead of dispatching to the pool (default: `PAR_MIN_ELEMS` —
-    /// late sequence positions with a handful of rows are cheaper inline).
-    /// Scheduling only; bits are identical at any threshold. Survives
-    /// [`Graph::reset`].
-    pub fn set_parallel_threshold(&mut self, elems: usize) {
-        self.par_threshold = Some(elems);
-    }
-
-    /// The effective inline/pool work-size floor.
-    fn par_threshold(&self) -> usize {
-        self.par_threshold.unwrap_or(PAR_MIN_ELEMS)
-    }
-
-    /// Whether this tape runs in zero-copy mode: callers that own a cached
-    /// composition hand ops [`IndexInput::Shared`] views instead of slices
-    /// the tape must copy. Defaults to the `RN_ZERO_COPY` env knob (on
-    /// unless set to `0`/`false`/`off`); [`Graph::set_zero_copy`] overrides.
-    /// Recorded contents are identical either way, so this is a pure
-    /// memory-traffic lever — results are bitwise unchanged.
-    pub fn zero_copy(&self) -> bool {
-        self.zero_copy.unwrap_or_else(env_zero_copy)
-    }
-
-    /// Override the zero-copy mode for this tape (wins over `RN_ZERO_COPY`).
-    /// Survives [`Graph::reset`].
-    pub fn set_zero_copy(&mut self, on: bool) {
-        self.zero_copy = Some(on);
-    }
-
     /// Cumulative count of index words this tape has copied into pooled
     /// buffers at record time (never cleared by [`Graph::reset`]). A step
     /// recorded entirely against shared composition views leaves this flat —
-    /// the zero-copy acceptance tests assert exactly that.
+    /// the cached-composition tests assert exactly that.
     pub fn index_words_copied(&self) -> u64 {
         self.idx_copied
-    }
-
-    /// Shared identity row list `0..n`, grown on demand and recorded by
-    /// refcount — the zero-copy replacement for building a fresh identity
-    /// `Vec` per dense fused step.
-    fn identity_rows(&mut self, n: usize) -> SharedIndices {
-        let cur = self.identity.as_ref().map_or(0, |a| a.len());
-        if cur < n {
-            self.identity = Some((0..n.max(cur * 2)).collect::<Vec<_>>().into());
-        }
-        SharedIndices::new(self.identity.clone().expect("identity grown"), 0, n)
     }
 
     /// Clear the tape for reuse, retaining every allocation.
@@ -1173,23 +460,7 @@ impl Graph {
             }
             match node.op {
                 Op::MaskRows { mask, .. } => pool_recycle(pool, mask),
-                Op::MatMul {
-                    shards: Some(s), ..
-                }
-                | Op::AddBias {
-                    shards: Some(s), ..
-                }
-                | Op::Selu {
-                    shards: Some(s), ..
-                } => recycle_index(idx_pool, s),
-                Op::GatherRows {
-                    indices, shards, ..
-                } => {
-                    recycle_index(idx_pool, indices);
-                    if let Some(s) = shards {
-                        s.recycle(idx_pool);
-                    }
-                }
+                Op::GatherRows { indices, .. } => recycle_index(idx_pool, indices),
                 Op::SegmentSum { segments, .. } => recycle_index(idx_pool, segments),
                 Op::GatherMask { mask, indices, .. } => {
                     pool_recycle(pool, mask);
@@ -1199,32 +470,16 @@ impl Graph {
                     pool_recycle(pool, mask);
                     recycle_index(idx_pool, segments);
                 }
-                Op::SegmentAccRows {
-                    rows,
-                    segments,
-                    shards,
-                    ..
-                } => {
+                Op::SegmentAccRows { rows, segments, .. } => {
                     recycle_index(idx_pool, rows);
                     recycle_index(idx_pool, segments);
-                    if let Some(s) = shards {
-                        s.recycle(idx_pool);
-                    }
                 }
                 Op::GruStep { saved, .. } => {
                     recycle_gru_saved(pool, *saved);
                 }
-                Op::GruStepRows {
-                    rows,
-                    saved,
-                    shards,
-                    ..
-                } => {
+                Op::GruStepRows { rows, saved, .. } => {
                     recycle_index(idx_pool, rows);
                     recycle_gru_saved(pool, *saved);
-                    if let Some(s) = shards {
-                        s.recycle(idx_pool);
-                    }
                 }
                 _ => {}
             }
@@ -1286,8 +541,9 @@ impl Graph {
     /// (a cached megabatch composition shared behind an `Arc`): the tape
     /// needs its own mutable copy because the fused step ops may advance
     /// states in place, stealing the leaf's buffer. Note the contrast with
-    /// the tape's *index* lists, which zero-copy mode records as refcounted
-    /// [`SharedIndices`] views precisely because no op ever mutates them.
+    /// the tape's *index* lists, which cached compositions hand over as
+    /// refcounted [`crate::SharedIndices`] views precisely because no op
+    /// ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {
         let mut m = pool_matrix_scratch(&mut self.pool, src.rows(), src.cols());
         m.as_mut_slice().copy_from_slice(src.as_slice());
@@ -1330,23 +586,9 @@ impl Graph {
 
     /// Matrix product `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        self.matmul_sharded(a, b, None)
-    }
-
-    /// [`Graph::matmul`] with a dense row-block shard layout: `bounds`
-    /// partitions the rows of `a` (and of the output) into contiguous
-    /// blocks, one per megabatch shard. With a worker pool attached the
-    /// blocks compute in parallel; each output element is produced by
-    /// exactly the full kernel's arithmetic, so the forward is bitwise
-    /// identical to the unsharded call at any worker count. The adjoint
-    /// row-blocks `a`'s gradient the same way and accumulates `b`'s
-    /// (weight) gradient as per-shard partials merged in shard order — its
-    /// own canonical grouping, also worker-count independent. Reference
-    /// mode ignores the split (it reproduces the seed kernels).
-    pub fn matmul_sharded(&mut self, a: Var, b: Var, bounds: Option<IndexInput<'_>>) -> Var {
         if self.reference_mode {
             let v = self.value(a).matmul_reference(self.value(b));
-            return self.push(v, Op::MatMul { a, b, shards: None });
+            return self.push(v, Op::MatMul { a, b });
         }
         let (m, k) = self.value(a).shape();
         let n = self.value(b).cols();
@@ -1356,103 +598,23 @@ impl Graph {
             "matmul: inner dimensions differ ({m}x{k} * {}x{n})",
             self.value(b).rows()
         );
-        let shards =
-            capture_dense_shards(&mut self.idx_pool, &mut self.idx_copied, bounds.as_ref(), m);
         let mut pool = std::mem::take(&mut self.pool);
         let mut out = pool_matrix_scratch(&mut pool, m, n);
-        match &shards {
-            Some(bounds) => {
-                let a_slice = self.value(a).as_slice();
-                let b_slice = self.value(b).as_slice();
-                let mut tasks: Vec<(usize, usize, &mut [f32])> = out
-                    .row_blocks_mut(bounds)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(s, block)| (bounds[s], bounds[s + 1], block))
-                    .collect();
-                run_shard_tasks(
-                    pool_if_worth(&self.worker_pool, self.par_threshold(), m * (k + n)),
-                    &mut tasks,
-                    |(lo, hi, block): &mut (usize, usize, &mut [f32])| {
-                        block.fill(0.0);
-                        kernels::matmul_acc(
-                            &a_slice[*lo * k..*hi * k],
-                            b_slice,
-                            *hi - *lo,
-                            k,
-                            n,
-                            block,
-                        );
-                    },
-                );
-            }
-            None => self.value(a).matmul_into(self.value(b), &mut out),
-        }
+        self.value(a).matmul_into(self.value(b), &mut out);
         self.pool = pool;
-        self.push(out, Op::MatMul { a, b, shards })
+        self.push(out, Op::MatMul { a, b })
     }
 
     /// Broadcast-add a `1 x c` bias row vector to every row of `x`.
     pub fn add_bias(&mut self, x: Var, bias: Var) -> Var {
-        self.add_bias_sharded(x, bias, None)
-    }
-
-    /// [`Graph::add_bias`] with a dense row-block shard layout (see
-    /// [`Graph::matmul_sharded`]). The forward adds the bias row to each
-    /// block independently (bitwise identical to the unsharded op); the
-    /// adjoint reduces the bias gradient as per-shard column-sum partials
-    /// merged in shard order, and row-blocks `x`'s pass-through gradient.
-    pub fn add_bias_sharded(&mut self, x: Var, bias: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        let (rows, cols) = self.value(x).shape();
+        let cols = self.value(x).cols();
         assert_eq!(
             self.value(bias).shape(),
             (1, cols),
             "add_bias: bias must be 1 x cols"
         );
-        let shards = if self.reference_mode {
-            None
-        } else {
-            capture_dense_shards(
-                &mut self.idx_pool,
-                &mut self.idx_copied,
-                bounds.as_ref(),
-                rows,
-            )
-        };
-        match &shards {
-            Some(bounds) => {
-                let mut pool = std::mem::take(&mut self.pool);
-                let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-                {
-                    let x_slice = self.value(x).as_slice();
-                    let bias_row = self.value(bias).as_slice();
-                    let mut tasks: Vec<(usize, &mut [f32])> = out
-                        .row_blocks_mut(bounds)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(s, block)| (bounds[s], block))
-                        .collect();
-                    run_shard_tasks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                        &mut tasks,
-                        |(lo, block): &mut (usize, &mut [f32])| {
-                            for (r, dst) in block.chunks_exact_mut(cols).enumerate() {
-                                let src = &x_slice[(*lo + r) * cols..(*lo + r + 1) * cols];
-                                for ((d, &v), &b) in dst.iter_mut().zip(src).zip(bias_row) {
-                                    *d = v + b;
-                                }
-                            }
-                        },
-                    );
-                }
-                self.pool = pool;
-                self.push(out, Op::AddBias { x, bias, shards })
-            }
-            None => {
-                let v = self.value(x).add_row_broadcast(self.value(bias));
-                self.push(v, Op::AddBias { x, bias, shards })
-            }
-        }
+        let v = self.value(x).add_row_broadcast(self.value(bias));
+        self.push(v, Op::AddBias { x, bias })
     }
 
     /// Element-wise affine map `a * x + b`.
@@ -1516,58 +678,17 @@ impl Graph {
 
     /// Scaled exponential linear unit (RouteNet's readout activation).
     pub fn selu(&mut self, x: Var) -> Var {
-        self.selu_sharded(x, None)
-    }
-
-    /// [`Graph::selu`] with a dense row-block shard layout (see
-    /// [`Graph::matmul_sharded`]). Element-wise maps decompose by rows
-    /// trivially, so forward and adjoint are bitwise identical to the
-    /// unsharded op at any worker count; the split exists so the readout
-    /// MLP's activation traffic rides the same gang as its matmuls.
-    pub fn selu_sharded(&mut self, x: Var, bounds: Option<IndexInput<'_>>) -> Var {
-        if self.reference_mode {
-            let v = self.value(x).map(act::selu_precise);
-            return self.push(v, Op::Selu { x, shards: None });
-        }
-        let (rows, cols) = self.value(x).shape();
-        let shards = capture_dense_shards(
-            &mut self.idx_pool,
-            &mut self.idx_copied,
-            bounds.as_ref(),
-            rows,
-        );
-        match &shards {
-            Some(bounds) => {
-                let mut pool = std::mem::take(&mut self.pool);
-                let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-                {
-                    let x_slice = self.value(x).as_slice();
-                    let mut tasks: Vec<(usize, &mut [f32])> = out
-                        .row_blocks_mut(bounds)
-                        .into_iter()
-                        .enumerate()
-                        .map(|(s, block)| (bounds[s], block))
-                        .collect();
-                    run_shard_tasks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                        &mut tasks,
-                        |(lo, block): &mut (usize, &mut [f32])| {
-                            let len = block.len();
-                            vact::selu_map(&x_slice[*lo * cols..*lo * cols + len], block);
-                        },
-                    );
-                }
-                self.pool = pool;
-                self.push(out, Op::Selu { x, shards })
-            }
-            None => {
-                let mut pool = std::mem::take(&mut self.pool);
-                let mut out = pool_matrix_scratch(&mut pool, rows, cols);
-                vact::selu_map(self.value(x).as_slice(), out.as_mut_slice());
-                self.pool = pool;
-                self.push(out, Op::Selu { x, shards })
-            }
-        }
+        let v = if self.reference_mode {
+            self.value(x).map(act::selu_precise)
+        } else {
+            let (rows, cols) = self.value(x).shape();
+            let mut pool = std::mem::take(&mut self.pool);
+            let mut out = pool_matrix_scratch(&mut pool, rows, cols);
+            vact::selu_map(self.value(x).as_slice(), out.as_mut_slice());
+            self.pool = pool;
+            out
+        };
+        self.push(v, Op::Selu(x))
     }
 
     /// Softplus `ln(1+e^x)`.
@@ -1613,76 +734,21 @@ impl Graph {
 
     /// Gather rows: `out[i] = x[indices[i]]`. Indices may repeat; the adjoint
     /// scatter-adds into the repeated rows. Output comes from the buffer pool.
-    pub fn gather_rows(&mut self, x: Var, indices: &[usize]) -> Var {
-        self.gather_rows_sharded(x, indices.into(), None)
-    }
-
-    /// [`Graph::gather_rows`] with a megabatch shard layout: `active` splits
-    /// `indices`, `entity` bounds the rows of `x` (each shard's indices must
-    /// stay inside its entity range — block-diagonality). With a worker pool
-    /// attached, shards gather (and later scatter their adjoint) in
-    /// parallel; the result is bitwise identical either way.
-    pub fn gather_rows_sharded(
-        &mut self,
-        x: Var,
-        ids: IndexInput<'_>,
-        split: Option<ShardSplit<'_>>,
-    ) -> Var {
+    /// A borrowed index slice is copied onto the tape; a
+    /// [`crate::SharedIndices`] view is recorded by refcount (see
+    /// [`crate::index`]).
+    pub fn gather_rows<'a>(&mut self, x: Var, ids: impl Into<IndexInput<'a>>) -> Var {
+        let ids = ids.into();
         let mut pool = std::mem::take(&mut self.pool);
-        let (x_rows, cols) = self.value(x).shape();
+        let xv = self.value(x);
         let indices = ids.as_slice();
-        let shards = split.and_then(|s| {
-            validate_split(&s, indices.len(), None, Some(x_rows));
-            debug_assert!(
-                s.active
-                    .as_slice()
-                    .windows(2)
-                    .zip(s.entity.as_slice().windows(2))
-                    .all(|(ka, ea)| {
-                        indices[ka[0]..ka[1]]
-                            .iter()
-                            .all(|&idx| idx >= ea[0] && idx < ea[1])
-                    }),
-                "gather_rows: shard indices escape their entity range"
-            );
-            (s.active.as_slice().len() > 2).then(|| {
-                Box::new(OpShards::capture(
-                    &mut self.idx_pool,
-                    &mut self.idx_copied,
-                    &s,
-                ))
-            })
-        });
-        let mut out = pool_matrix_scratch(&mut pool, indices.len(), cols);
-        if cols > 0 {
-            let x_slice = self.value(x).as_slice();
-            let mut tasks: Vec<(usize, &mut [f32])> = match &shards {
-                Some(s) => out
-                    .row_blocks_mut(&s.active)
-                    .into_iter()
-                    .zip(s.active.iter())
-                    .map(|(block, &k_lo)| (k_lo, block))
-                    .collect(),
-                None => vec![(0, out.as_mut_slice())],
-            };
-            run_shard_tasks(
-                pool_if_worth(
-                    &self.worker_pool,
-                    self.par_threshold(),
-                    indices.len() * cols,
-                ),
-                &mut tasks,
-                |(k_lo, block): &mut (usize, &mut [f32])| {
-                    for (i, dst) in block.chunks_exact_mut(cols).enumerate() {
-                        let idx = indices[*k_lo + i];
-                        dst.copy_from_slice(&x_slice[idx * cols..(idx + 1) * cols]);
-                    }
-                },
-            );
+        let mut out = pool_matrix_scratch(&mut pool, indices.len(), xv.cols());
+        for (i, &idx) in indices.iter().enumerate() {
+            out.row_mut(i).copy_from_slice(xv.row(idx));
         }
         self.pool = pool;
         let indices = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &ids);
-        self.push(out, Op::GatherRows { x, indices, shards })
+        self.push(out, Op::GatherRows { x, indices })
     }
 
     /// Segment sum: `out[segments[i]] += x[i]` with `num_segments` output rows.
@@ -1819,35 +885,16 @@ impl Graph {
     /// In **inference mode** this op is destructive like
     /// [`Graph::gru_step_rows`]: it steals `acc`'s buffer and scatter-adds
     /// in place (the `Var` passed as `acc` must not be read afterwards).
-    pub fn segment_acc_rows(
+    pub fn segment_acc_rows<'a>(
         &mut self,
         acc: Var,
         x: Var,
-        rows: &[usize],
-        segments: &[usize],
+        rows: impl Into<IndexInput<'a>>,
+        segments: impl Into<IndexInput<'a>>,
     ) -> Var {
-        self.segment_acc_rows_sharded(acc, x, rows.into(), segments.into(), None)
-    }
-
-    /// [`Graph::segment_acc_rows`] with a megabatch shard layout: `active`
-    /// splits `rows`/`segments`, `dense` bounds the rows of `x`, `entity`
-    /// the rows of `acc`; shard `s`'s segments must fall inside its entity
-    /// range and its rows inside its dense range (block-diagonality). With
-    /// a worker pool attached, shards scatter in parallel — each into its
-    /// own disjoint slice of the accumulator — bitwise identically to the
-    /// sequential sweep.
-    pub fn segment_acc_rows_sharded(
-        &mut self,
-        acc: Var,
-        x: Var,
-        rows: IndexInput<'_>,
-        segments: IndexInput<'_>,
-        split: Option<ShardSplit<'_>>,
-    ) -> Var {
+        let (rows_in, segments_in) = (rows.into(), segments.into());
         let mut pool = std::mem::take(&mut self.pool);
         let (num_segments, cols) = self.value(acc).shape();
-        let x_rows = self.value(x).rows();
-        let (rows_in, segments_in) = (rows, segments);
         let (rows, segments) = (rows_in.as_slice(), segments_in.as_slice());
         assert_eq!(
             rows.len(),
@@ -1865,72 +912,21 @@ impl Graph {
                 "segment_acc_rows: segment id {s} out of range"
             );
         }
-        let shards = split.and_then(|s| {
-            validate_split(&s, rows.len(), Some(x_rows), Some(num_segments));
-            debug_assert!(
-                s.active
-                    .as_slice()
-                    .windows(2)
-                    .zip(s.entity.as_slice().windows(2))
-                    .all(|(ka, ea)| {
-                        segments[ka[0]..ka[1]]
-                            .iter()
-                            .all(|&seg| seg >= ea[0] && seg < ea[1])
-                    }),
-                "segment_acc_rows: shard segments escape their entity range"
-            );
-            (s.active.as_slice().len() > 2).then(|| {
-                Box::new(OpShards::capture(
-                    &mut self.idx_pool,
-                    &mut self.idx_copied,
-                    &s,
-                ))
-            })
-        });
 
         // In-place inference: steal the accumulator instead of copying it.
-        let inplace = self.inference_mode;
-        let mut out = if inplace {
+        let mut out = if self.inference_mode {
             std::mem::replace(&mut self.nodes[acc.0].value, Matrix::zeros(0, 0))
         } else {
-            pool_matrix_scratch(&mut pool, num_segments, cols)
+            let mut copy = pool_matrix_scratch(&mut pool, num_segments, cols);
+            copy.as_mut_slice()
+                .copy_from_slice(self.value(acc).as_slice());
+            copy
         };
-        {
-            let acc_src = (!inplace).then(|| self.value(acc).as_slice());
-            let x_slice = self.value(x).as_slice();
-            let full_active = [0, rows.len()];
-            let full_entity = [0, num_segments];
-            let (active_bounds, entity_bounds): (&[usize], &[usize]) = match &shards {
-                Some(s) => (&s.active, &s.entity),
-                None => (&full_active, &full_entity),
-            };
-            let mut tasks: Vec<(usize, usize, &mut [f32])> = out
-                .row_blocks_mut(entity_bounds)
-                .into_iter()
-                .enumerate()
-                .map(|(s, block)| (s, entity_bounds[s], block))
-                .collect();
-            run_shard_tasks(
-                pool_if_worth(
-                    &self.worker_pool,
-                    self.par_threshold(),
-                    (num_segments + rows.len()) * cols,
-                ),
-                &mut tasks,
-                |(s, e_lo, block): &mut (usize, usize, &mut [f32])| {
-                    if let Some(acc_src) = acc_src {
-                        block.copy_from_slice(&acc_src[*e_lo * cols..*e_lo * cols + block.len()]);
-                    }
-                    for k in active_bounds[*s]..active_bounds[*s + 1] {
-                        let (row, seg) = (rows[k], segments[k]);
-                        let src = &x_slice[row * cols..(row + 1) * cols];
-                        let dst = &mut block[(seg - *e_lo) * cols..(seg - *e_lo + 1) * cols];
-                        for (d, &v) in dst.iter_mut().zip(src) {
-                            *d += v;
-                        }
-                    }
-                },
-            );
+        let xv = self.value(x);
+        for (&row, &seg) in rows.iter().zip(segments) {
+            for (d, &v) in out.row_mut(seg).iter_mut().zip(xv.row(row)) {
+                *d += v;
+            }
         }
         self.pool = pool;
         let rows = intern_indices(&mut self.idx_pool, &mut self.idx_copied, &rows_in);
@@ -1942,7 +938,6 @@ impl Graph {
                 x,
                 rows,
                 segments,
-                shards,
             },
         )
     }
@@ -1960,28 +955,16 @@ impl Graph {
     /// rows (the `Var` passed as `h` must not be read afterwards — its value
     /// becomes empty). Training mode copies, so `h` stays intact for the
     /// adjoint. Output bits are identical either way.
-    pub fn gru_step_rows(&mut self, vars: &GruVars, h: Var, x: Var, rows: &[usize]) -> Var {
-        self.gru_step_rows_sharded(vars, h, x, rows.into(), None)
-    }
-
-    /// [`Graph::gru_step_rows`] with a megabatch shard layout: `active`
-    /// splits `rows`, `dense` bounds the rows of `h`; shard `s`'s active
-    /// rows must fall inside its dense range (block-diagonality). With a
-    /// worker pool attached the shards advance in parallel; the backward
-    /// pass accumulates parameter gradients as per-shard partials merged in
-    /// shard order. Results are bitwise identical at any worker count,
-    /// including none.
-    pub fn gru_step_rows_sharded(
+    pub fn gru_step_rows<'a>(
         &mut self,
         vars: &GruVars,
         h: Var,
         x: Var,
-        rows: IndexInput<'_>,
-        split: Option<ShardSplit<'_>>,
+        rows: impl Into<IndexInput<'a>>,
     ) -> Var {
+        let rows_in = rows.into();
         let mut pool = std::mem::take(&mut self.pool);
         let (n, hidden) = self.value(h).shape();
-        let rows_in = rows;
         let rows = rows_in.as_slice();
         let a = rows.len();
         let input = self.value(x).cols();
@@ -1998,113 +981,57 @@ impl Graph {
         for &row in rows {
             assert!(row < n, "gru_step_rows: row {row} out of range {n}");
         }
-        let shards = split.and_then(|s| {
-            validate_split(&s, a, Some(n), None);
-            debug_assert!(
-                s.active
-                    .as_slice()
-                    .windows(2)
-                    .zip(s.dense.as_slice().windows(2))
-                    .all(|(ka, pa)| {
-                        rows[ka[0]..ka[1]]
-                            .iter()
-                            .all(|&row| row >= pa[0] && row < pa[1])
-                    }),
-                "gru_step_rows: shard rows escape their dense range"
-            );
-            (s.active.as_slice().len() > 2).then(|| {
-                Box::new(OpShards::capture(
-                    &mut self.idx_pool,
-                    &mut self.idx_copied,
-                    &s,
-                ))
-            })
-        });
 
-        let needs_zr = vars.w_zr.is_some();
         let mut hx = pool_matrix_scratch(&mut pool, a, hidden + input);
         let mut z = pool_matrix_scratch(&mut pool, a, hidden);
         let mut r = pool_matrix_scratch(&mut pool, a, hidden);
         let mut rhx = pool_matrix_scratch(&mut pool, a, hidden + input);
         let mut c = pool_matrix_scratch(&mut pool, a, hidden);
-        let mut zr = needs_zr.then(|| pool_matrix_scratch(&mut pool, a, 2 * hidden));
 
         // In-place inference: steal the state buffer instead of copying it.
-        // Training mode takes scratch — every dense block is copied from
-        // `hv` by its shard task before any read.
-        let inplace = self.inference_mode;
-        let mut out = if inplace {
+        // Either way the old state rows are read from `out`, so both modes
+        // compute identical bits.
+        let mut out = if self.inference_mode {
             let stolen = std::mem::replace(&mut self.nodes[h.0].value, Matrix::zeros(0, 0));
             debug_assert_eq!(stolen.shape(), (n, hidden));
             stolen
         } else {
-            pool_matrix_scratch(&mut pool, n, hidden)
+            let mut copy = pool_matrix_scratch(&mut pool, n, hidden);
+            copy.as_mut_slice()
+                .copy_from_slice(self.value(h).as_slice());
+            copy
         };
-
-        {
-            let full_active = [0, a];
-            let full_dense = [0, n];
-            let (active_bounds, dense_bounds): (&[usize], &[usize]) = match &shards {
-                Some(s) => (&s.active, &s.dense),
-                None => (&full_active, &full_dense),
-            };
-            let ctx = GruRowsFwdCtx {
-                hv: (!inplace).then(|| self.value(h).as_slice()),
-                xv: self.value(x).as_slice(),
-                rows,
-                w_z: self.value(vars.w_z),
-                b_z: self.value(vars.b_z).as_slice(),
-                w_r: self.value(vars.w_r),
-                b_r: self.value(vars.b_r).as_slice(),
-                w_c: self.value(vars.w_c),
-                b_c: self.value(vars.b_c).as_slice(),
-                w_zr: vars.w_zr.map(|v| self.value(v)),
-                hidden,
-                input,
-            };
-            let mut hx_it = hx.row_blocks_mut(active_bounds).into_iter();
-            let mut z_it = z.row_blocks_mut(active_bounds).into_iter();
-            let mut r_it = r.row_blocks_mut(active_bounds).into_iter();
-            let mut rhx_it = rhx.row_blocks_mut(active_bounds).into_iter();
-            let mut c_it = c.row_blocks_mut(active_bounds).into_iter();
-            let zr_blocks: Vec<Option<&mut [f32]>> = match zr.as_mut() {
-                Some(m) => m
-                    .row_blocks_mut(active_bounds)
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-                None => active_bounds.windows(2).map(|_| None).collect(),
-            };
-            let mut zr_it = zr_blocks.into_iter();
-            let mut tasks: Vec<GruRowsFwdTask> = out
-                .row_blocks_mut(dense_bounds)
-                .into_iter()
-                .enumerate()
-                .map(|(s, out_block)| GruRowsFwdTask {
-                    k_lo: active_bounds[s],
-                    k_hi: active_bounds[s + 1],
-                    p_lo: dense_bounds[s],
-                    hx: hx_it.next().expect("hx block"),
-                    zr: zr_it.next().expect("zr block"),
-                    z: z_it.next().expect("z block"),
-                    r: r_it.next().expect("r block"),
-                    rhx: rhx_it.next().expect("rhx block"),
-                    c: c_it.next().expect("c block"),
-                    out: out_block,
-                })
-                .collect();
-            run_shard_tasks(
-                pool_if_worth(
-                    &self.worker_pool,
-                    self.par_threshold(),
-                    a * (hidden + input) * 6,
-                ),
-                &mut tasks,
-                |t| gru_rows_forward_shard(&ctx, t),
-            );
+        let xv = self.value(x);
+        // hx = [h | x] over the active rows.
+        for (k, &row) in rows.iter().enumerate() {
+            let dst = hx.row_mut(k);
+            dst[..hidden].copy_from_slice(out.row(row));
+            dst[hidden..].copy_from_slice(xv.row(k));
         }
-        if let Some(zr) = zr {
-            pool_recycle(&mut pool, zr);
+        let (w_z, w_r) = (self.value(vars.w_z), self.value(vars.w_r));
+        let w_zr = vars.w_zr.map(|v| self.value(v));
+        gate_matmuls(&mut pool, &hx, w_z, w_r, w_zr, hidden, &mut z, &mut r);
+        if hidden > 0 && a > 0 {
+            vact::sigmoid_bias_map_inplace(z.as_mut_slice(), self.value(vars.b_z).as_slice());
+            vact::sigmoid_bias_map_inplace(r.as_mut_slice(), self.value(vars.b_r).as_slice());
+        }
+        // rhx = [r ⊙ h | x]; candidate c = tanh(rhx·W_c + b_c).
+        for (k, &row) in rows.iter().enumerate() {
+            let dst = rhx.row_mut(k);
+            for ((d, &rv), &hv) in dst[..hidden].iter_mut().zip(r.row(k)).zip(out.row(row)) {
+                *d = rv * hv;
+            }
+            dst[hidden..].copy_from_slice(xv.row(k));
+        }
+        rhx.matmul_into(self.value(vars.w_c), &mut c);
+        if hidden > 0 && a > 0 {
+            vact::tanh_bias_map_inplace(c.as_mut_slice(), self.value(vars.b_c).as_slice());
+        }
+        // h' = (1 − z)⊙h + z⊙c on the active rows; inactive rows pass through.
+        for (k, &row) in rows.iter().enumerate() {
+            for ((o, &zj), &cj) in out.row_mut(row).iter_mut().zip(z.row(k)).zip(c.row(k)) {
+                *o = (1.0 - zj) * *o + zj * cj;
+            }
         }
 
         let saved = if self.inference_mode {
@@ -2134,7 +1061,6 @@ impl Graph {
                 x,
                 rows,
                 saved,
-                shards,
             },
         )
     }
@@ -2271,58 +1197,6 @@ impl Graph {
         )
     }
 
-    /// Dense (every-row) GRU step with a row-block shard layout — the
-    /// link/node entity updates of a megabatch forward. `bounds` partitions
-    /// the `n` state rows into contiguous blocks; `x` must have `n` rows.
-    ///
-    /// With more than one shard this records through the row-compacted
-    /// sharded machinery with an identity row list, so the whole existing
-    /// shard apparatus applies: forward blocks fan across the worker pool,
-    /// the adjoint writes row-disjoint state/input gradients in place and
-    /// accumulates the GRU weight gradients (the `matmul_tn_acc` over the
-    /// z/r/h gates) as per-shard partials merged in canonical shard order —
-    /// bitwise identical at any worker count. Without a split (or with a
-    /// single shard) this is exactly [`Graph::gru_step`], preserving the
-    /// legacy bitwise path for 1-sample plans.
-    pub fn gru_step_dense_sharded(
-        &mut self,
-        vars: &GruVars,
-        h: Var,
-        x: Var,
-        bounds: Option<IndexInput<'_>>,
-    ) -> Var {
-        match bounds {
-            Some(b) if b.as_slice().len() > 2 && !self.reference_mode => {
-                let n = self.value(h).rows();
-                assert_eq!(
-                    self.value(x).rows(),
-                    n,
-                    "gru_step_dense_sharded: x must have one row per state row"
-                );
-                let split = ShardSplit {
-                    active: b.clone(),
-                    dense: b.clone(),
-                    entity: b,
-                };
-                if self.zero_copy() {
-                    // Record the shared identity prefix by refcount instead
-                    // of materializing (and then copying) a 0..n row list.
-                    let rows = self.identity_rows(n);
-                    self.gru_step_rows_sharded(vars, h, x, rows.into(), Some(split))
-                } else {
-                    let mut rows = self.idx_pool.pop().unwrap_or_default();
-                    rows.clear();
-                    rows.extend(0..n);
-                    let out =
-                        self.gru_step_rows_sharded(vars, h, x, rows.as_slice().into(), Some(split));
-                    self.idx_pool.push(rows);
-                    out
-                }
-            }
-            _ => self.gru_step(vars, h, x, None),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Reductions
     // ------------------------------------------------------------------
@@ -2401,90 +1275,12 @@ impl Graph {
                     accumulate(&mut grads, a, ga);
                     accumulate(&mut grads, b, gb);
                 }
-                Op::MatMul { a, b, shards } => {
-                    let (a, b) = (*a, *b);
+                &Op::MatMul { a, b } => {
                     if self.reference_mode {
                         let ga = g.matmul_nt_reference(self.value(b));
                         let gb = self.value(a).matmul_tn_reference(&g);
                         accumulate(&mut grads, a, ga);
                         accumulate(&mut grads, b, gb);
-                    } else if let Some(bounds) = shards {
-                        // Dense-sharded adjoint. ga = g·bᵀ is row-disjoint:
-                        // each shard fills its own block with exactly the
-                        // full kernel's arithmetic (bitwise identical to one
-                        // call). gb = aᵀ·g reduces over rows, so each shard
-                        // produces a zeroed partial over its row range; the
-                        // partials merge into the gradient slot in shard
-                        // order — the canonical grouping, independent of
-                        // worker count (or the pool's absence).
-                        let bv = self.value(b);
-                        let (k_dim, n_dim) = bv.shape();
-                        let m = g.rows();
-                        let num_shards = bounds.len() - 1;
-                        let mut bt = pool_matrix_scratch(&mut pool, n_dim, k_dim);
-                        bv.transpose_into(&mut bt);
-                        let mut ga = pool_matrix_scratch(&mut pool, m, k_dim);
-                        let mut partials: Vec<Matrix> = (0..num_shards)
-                            .map(|_| pool_matrix(&mut pool, k_dim, n_dim))
-                            .collect();
-                        let worker = pool_if_worth(
-                            &self.worker_pool,
-                            self.par_threshold(),
-                            m * (k_dim + n_dim),
-                        );
-                        {
-                            let g_slice = g.as_slice();
-                            let a_slice = self.value(a).as_slice();
-                            let bt_slice = bt.as_slice();
-                            let mut tasks: Vec<(usize, usize, &mut [f32], &mut Matrix)> = ga
-                                .row_blocks_mut(bounds)
-                                .into_iter()
-                                .zip(partials.iter_mut())
-                                .enumerate()
-                                .map(|(s, (block, partial))| {
-                                    (bounds[s], bounds[s + 1], block, partial)
-                                })
-                                .collect();
-                            run_shard_tasks(
-                                worker,
-                                &mut tasks,
-                                |(lo, hi, ga_block, partial): &mut (
-                                    usize,
-                                    usize,
-                                    &mut [f32],
-                                    &mut Matrix,
-                                )| {
-                                    let rows_s = *hi - *lo;
-                                    ga_block.fill(0.0);
-                                    kernels::matmul_acc(
-                                        &g_slice[*lo * n_dim..*hi * n_dim],
-                                        bt_slice,
-                                        rows_s,
-                                        n_dim,
-                                        k_dim,
-                                        ga_block,
-                                    );
-                                    kernels::matmul_tn_acc(
-                                        &a_slice[*lo * k_dim..*hi * k_dim],
-                                        &g_slice[*lo * n_dim..*hi * n_dim],
-                                        rows_s,
-                                        k_dim,
-                                        n_dim,
-                                        partial.as_mut_slice(),
-                                    );
-                                },
-                            );
-                        }
-                        pool_recycle(&mut pool, bt);
-                        {
-                            let refs: Vec<&Matrix> = partials.iter().collect();
-                            let slot = grad_slot(&mut grads, b, k_dim, n_dim, &mut pool);
-                            reduce_partials_parallel(worker, slot, &refs);
-                        }
-                        for p in partials {
-                            pool_recycle(&mut pool, p);
-                        }
-                        accumulate_pooled(&mut grads, &mut pool, a, ga);
                     } else {
                         let bv = self.value(b);
                         let mut bt = pool_matrix_scratch(&mut pool, bv.cols(), bv.rows());
@@ -2498,83 +1294,32 @@ impl Graph {
                         accumulate_pooled(&mut grads, &mut pool, b, gb);
                     }
                 }
-                Op::AddBias { x, bias, shards } => {
-                    let (x, bias) = (*x, *bias);
-                    if let Some(bounds) = shards {
-                        // gx is the pass-through gradient, row-blocked; the
-                        // bias gradient reduces as per-shard column-sum
-                        // partials merged in shard order (canonical).
-                        let (rows, cols) = g.shape();
-                        let num_shards = bounds.len() - 1;
-                        let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                        let mut partials: Vec<Matrix> = (0..num_shards)
-                            .map(|_| pool_matrix(&mut pool, 1, cols))
-                            .collect();
-                        let worker =
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols);
-                        {
-                            let g_slice = g.as_slice();
-                            let mut tasks: Vec<(usize, &mut [f32], &mut Matrix)> = gx
-                                .row_blocks_mut(bounds)
-                                .into_iter()
-                                .zip(partials.iter_mut())
-                                .enumerate()
-                                .map(|(s, (block, partial))| (bounds[s], block, partial))
-                                .collect();
-                            run_shard_tasks(
-                                worker,
-                                &mut tasks,
-                                |(lo, block, partial): &mut (usize, &mut [f32], &mut Matrix)| {
-                                    block.copy_from_slice(
-                                        &g_slice[*lo * cols..*lo * cols + block.len()],
-                                    );
-                                    add_col_sums_slice(partial.as_mut_slice(), block, cols);
-                                },
-                            );
-                        }
-                        {
-                            let refs: Vec<&Matrix> = partials.iter().collect();
-                            let slot = grad_slot(&mut grads, bias, 1, cols, &mut pool);
-                            reduce_partials_parallel(worker, slot, &refs);
-                        }
-                        for p in partials {
-                            pool_recycle(&mut pool, p);
-                        }
-                        accumulate_pooled(&mut grads, &mut pool, x, gx);
-                    } else {
-                        accumulate(&mut grads, bias, g.sum_rows());
-                        accumulate_ref(&mut grads, &mut pool, x, &g);
-                    }
+                &Op::AddBias { x, bias } => {
+                    accumulate(&mut grads, bias, g.sum_rows());
+                    accumulate_ref(&mut grads, &mut pool, x, &g);
                 }
                 &Op::Affine { x, a } => {
                     accumulate(&mut grads, x, g.scale(a));
                 }
                 &Op::Sigmoid(x) => {
-                    // gx = g ⊙ y(1-y) via the fused vector kernel, fanned
-                    // over fixed chunks when a pool is attached — bitwise
-                    // identical to the sequential zip either way (the map is
-                    // position-independent and the kernel is pinned to the
-                    // scalar chain).
+                    // gx = g ⊙ y(1-y) via the fused vector kernel (bitwise
+                    // identical to the scalar chain).
                     let (rows, cols) = g.shape();
                     let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                    run_elementwise_chunks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
+                    vact::sigmoid_deriv_mul(
                         g.as_slice(),
                         self.nodes[id].value.as_slice(),
                         gx.as_mut_slice(),
-                        vact::sigmoid_deriv_mul,
                     );
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Tanh(x) => {
                     let (rows, cols) = g.shape();
                     let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                    run_elementwise_chunks(
-                        pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
+                    vact::tanh_deriv_mul(
                         g.as_slice(),
                         self.nodes[id].value.as_slice(),
                         gx.as_mut_slice(),
-                        vact::tanh_deriv_mul,
                     );
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
@@ -2582,52 +1327,21 @@ impl Graph {
                     let gx = g.zip(self.value(x), |gi, xi| gi * act::relu_deriv(xi));
                     accumulate(&mut grads, x, gx);
                 }
-                Op::Selu { x, shards } => {
-                    let x = *x;
+                &Op::Selu(x) => {
                     if self.reference_mode {
-                        // Seed-faithful libm derivative (shards are never
-                        // recorded in reference mode).
+                        // Seed-faithful libm derivative.
                         let gx = g.zip(self.value(x), |gi, xi| gi * act::selu_deriv_precise(xi));
                         accumulate(&mut grads, x, gx);
-                        continue;
-                    }
-                    let (rows, cols) = g.shape();
-                    let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
-                    if let Some(bounds) = shards {
-                        // Element-wise adjoint, row-blocked: bitwise
-                        // identical to the unsharded sweep at any worker
-                        // count.
-                        let g_slice = g.as_slice();
-                        let x_slice = self.value(x).as_slice();
-                        let mut tasks: Vec<(usize, &mut [f32])> = gx
-                            .row_blocks_mut(bounds)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, block)| (bounds[s], block))
-                            .collect();
-                        run_shard_tasks(
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
-                            &mut tasks,
-                            |(lo, block): &mut (usize, &mut [f32])| {
-                                let off = *lo * cols;
-                                let len = block.len();
-                                vact::selu_deriv_mul(
-                                    &g_slice[off..off + len],
-                                    &x_slice[off..off + len],
-                                    block,
-                                );
-                            },
-                        );
                     } else {
-                        run_elementwise_chunks(
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), rows * cols),
+                        let (rows, cols) = g.shape();
+                        let mut gx = pool_matrix_scratch(&mut pool, rows, cols);
+                        vact::selu_deriv_mul(
                             g.as_slice(),
                             self.value(x).as_slice(),
                             gx.as_mut_slice(),
-                            vact::selu_deriv_mul,
                         );
+                        accumulate_pooled(&mut grads, &mut pool, x, gx);
                     }
-                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Softplus(x) => {
                     let gx = g.zip(self.value(x), |gi, xi| gi * act::softplus_deriv(xi));
@@ -2659,48 +1373,14 @@ impl Graph {
                     }
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
-                Op::GatherRows { x, indices, shards } => {
-                    // Adjoint of gather = scatter-add back to the source
-                    // rows. With shards, each one scatters into its own
-                    // disjoint entity block (possibly in parallel); the k
-                    // order within every target row matches the sequential
-                    // sweep, so the bits do too.
+                Op::GatherRows { x, indices } => {
+                    // Adjoint of gather = scatter-add back to the source rows.
                     let (x_rows, cols) = self.value(*x).shape();
                     let mut gx = pool_matrix(&mut pool, x_rows, cols);
-                    if cols > 0 {
-                        let g_slice = g.as_slice();
-                        let full_active = [0, indices.len()];
-                        let full_entity = [0, x_rows];
-                        let (active_bounds, entity_bounds): (&[usize], &[usize]) = match shards {
-                            Some(s) => (&s.active, &s.entity),
-                            None => (&full_active, &full_entity),
-                        };
-                        let mut tasks: Vec<(usize, usize, &mut [f32])> = gx
-                            .row_blocks_mut(entity_bounds)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, block)| (s, entity_bounds[s], block))
-                            .collect();
-                        run_shard_tasks(
-                            pool_if_worth(
-                                &self.worker_pool,
-                                self.par_threshold(),
-                                indices.len() * cols,
-                            ),
-                            &mut tasks,
-                            |(s, e_lo, block): &mut (usize, usize, &mut [f32])| {
-                                for k in active_bounds[*s]..active_bounds[*s + 1] {
-                                    let idx = indices[k];
-                                    let dst =
-                                        &mut block[(idx - *e_lo) * cols..(idx - *e_lo + 1) * cols];
-                                    for (d, &v) in
-                                        dst.iter_mut().zip(&g_slice[k * cols..(k + 1) * cols])
-                                    {
-                                        *d += v;
-                                    }
-                                }
-                            },
-                        );
+                    for (k, &idx) in indices.iter().enumerate() {
+                        for (d, &v) in gx.row_mut(idx).iter_mut().zip(g.row(k)) {
+                            *d += v;
+                        }
                     }
                     accumulate_pooled(&mut grads, &mut pool, *x, gx);
                 }
@@ -2926,47 +1606,15 @@ impl Graph {
                     x,
                     rows,
                     segments,
-                    shards,
                 } => {
                     // out = acc + scatter(x[rows]): g_acc += g,
-                    // g_x[rows[k]] += g[segments[k]]. Sharded: each shard
-                    // writes its own dense block of g_x.
+                    // g_x[rows[k]] += g[segments[k]].
                     let (x_rows, cols) = self.value(*x).shape();
                     let mut gx = pool_matrix(&mut pool, x_rows, cols);
-                    if cols > 0 {
-                        let g_slice = g.as_slice();
-                        let full_active = [0, rows.len()];
-                        let full_dense = [0, x_rows];
-                        let (active_bounds, dense_bounds): (&[usize], &[usize]) = match shards {
-                            Some(s) => (&s.active, &s.dense),
-                            None => (&full_active, &full_dense),
-                        };
-                        let mut tasks: Vec<(usize, usize, &mut [f32])> = gx
-                            .row_blocks_mut(dense_bounds)
-                            .into_iter()
-                            .enumerate()
-                            .map(|(s, block)| (s, dense_bounds[s], block))
-                            .collect();
-                        run_shard_tasks(
-                            pool_if_worth(
-                                &self.worker_pool,
-                                self.par_threshold(),
-                                rows.len() * cols,
-                            ),
-                            &mut tasks,
-                            |(s, p_lo, block): &mut (usize, usize, &mut [f32])| {
-                                for k in active_bounds[*s]..active_bounds[*s + 1] {
-                                    let (row, seg) = (rows[k], segments[k]);
-                                    let dst =
-                                        &mut block[(row - *p_lo) * cols..(row - *p_lo + 1) * cols];
-                                    for (d, &v) in
-                                        dst.iter_mut().zip(&g_slice[seg * cols..(seg + 1) * cols])
-                                    {
-                                        *d += v;
-                                    }
-                                }
-                            },
-                        );
+                    for (&row, &seg) in rows.iter().zip(segments.iter()) {
+                        for (d, &v) in gx.row_mut(row).iter_mut().zip(g.row(seg)) {
+                            *d += v;
+                        }
                     }
                     accumulate_pooled(&mut grads, &mut pool, *x, gx);
                     accumulate_ref(&mut grads, &mut pool, *acc, &g);
@@ -2977,7 +1625,6 @@ impl Graph {
                     x,
                     rows,
                     saved,
-                    shards,
                 } => {
                     let (vars, h, x) = (*vars, *h, *x);
                     let s: &GruSaved = saved;
@@ -2985,155 +1632,6 @@ impl Graph {
                     let hidden = hv.cols();
                     let input = self.value(x).cols();
                     let a = rows.len();
-
-                    if let Some(shards) = shards {
-                        // Sharded canonical adjoint: row-disjoint gradients
-                        // are written in place by each shard; parameter
-                        // gradients are accumulated as per-shard partials
-                        // and merged in shard order below. The result is a
-                        // pure function of the shard layout — independent
-                        // of the worker count (or the pool's absence).
-                        let width = hidden + input;
-                        let num_shards = shards.len();
-                        let mut w_t_z = pool_matrix_scratch(&mut pool, hidden, width);
-                        self.value(vars.w_z).transpose_into(&mut w_t_z);
-                        let mut w_t_r = pool_matrix_scratch(&mut pool, hidden, width);
-                        self.value(vars.w_r).transpose_into(&mut w_t_r);
-                        let mut w_t_c = pool_matrix_scratch(&mut pool, hidden, width);
-                        self.value(vars.w_c).transpose_into(&mut w_t_c);
-
-                        let mut gh = pool_matrix_scratch(&mut pool, hv.rows(), hidden);
-                        let mut gx_acc = pool_matrix_scratch(&mut pool, a, input);
-                        let ctx = GruRowsBwdCtx {
-                            rows,
-                            g: g.as_slice(),
-                            hv: hv.as_slice(),
-                            saved: s,
-                            w_t_z: &w_t_z,
-                            w_t_r: &w_t_r,
-                            w_t_c: &w_t_c,
-                            hidden,
-                            input,
-                        };
-                        let make_scratch = |pool: &mut Vec<Vec<f32>>, a_s: usize| GruBwdScratch {
-                            gm: pool_matrix_scratch(pool, a_s, hidden),
-                            gz: pool_matrix_scratch(pool, a_s, hidden),
-                            gc: pool_matrix_scratch(pool, a_s, hidden),
-                            gr: pool_matrix_scratch(pool, a_s, hidden),
-                            g_rhx: pool_matrix_scratch(pool, a_s, width),
-                            g_hx: pool_matrix_scratch(pool, a_s, width),
-                            pw_z: pool_matrix(pool, width, hidden),
-                            pb_z: pool_matrix(pool, 1, hidden),
-                            pw_r: pool_matrix(pool, width, hidden),
-                            pb_r: pool_matrix(pool, 1, hidden),
-                            pw_c: pool_matrix(pool, width, hidden),
-                            pb_c: pool_matrix(pool, 1, hidden),
-                        };
-                        let merge_and_recycle =
-                            |grads: &mut Vec<Option<Matrix>>,
-                             pool: &mut Vec<Vec<f32>>,
-                             sc: GruBwdScratch| {
-                                for (var, partial, rows_, cols_) in [
-                                    (vars.w_z, &sc.pw_z, width, hidden),
-                                    (vars.b_z, &sc.pb_z, 1, hidden),
-                                    (vars.w_r, &sc.pw_r, width, hidden),
-                                    (vars.b_r, &sc.pb_r, 1, hidden),
-                                    (vars.w_c, &sc.pw_c, width, hidden),
-                                    (vars.b_c, &sc.pb_c, 1, hidden),
-                                ] {
-                                    grad_slot(grads, var, rows_, cols_, pool).add_assign(partial);
-                                }
-                                sc.recycle(pool);
-                            };
-                        let worker_pool =
-                            pool_if_worth(&self.worker_pool, self.par_threshold(), a * width * 6);
-                        let mut gh_it = gh.row_blocks_mut(&shards.dense).into_iter();
-                        let mut gx_it = gx_acc.row_blocks_mut(&shards.active).into_iter();
-                        if worker_pool.is_some() {
-                            // Parallel: every shard gets its own scratch up
-                            // front; the ordered reduction below merges the
-                            // partials in shard order once all are done.
-                            let mut tasks: Vec<GruRowsBwdTask> = (0..num_shards)
-                                .map(|si| {
-                                    let a_s = shards.active[si + 1] - shards.active[si];
-                                    GruRowsBwdTask {
-                                        k_lo: shards.active[si],
-                                        k_hi: shards.active[si + 1],
-                                        p_lo: shards.dense[si],
-                                        gh: gh_it.next().expect("gh block"),
-                                        gx: gx_it.next().expect("gx block"),
-                                        scratch: make_scratch(&mut pool, a_s),
-                                    }
-                                })
-                                .collect();
-                            run_shard_tasks(worker_pool, &mut tasks, |t| {
-                                gru_rows_backward_shard(&ctx, t)
-                            });
-                            // Ordered parallel merge: each parameter's
-                            // per-shard partials reduce in ascending shard
-                            // order — per element exactly the sequential
-                            // merge's addition order, so the bits match it
-                            // at any worker count.
-                            fn field(sc: &GruBwdScratch, i: usize) -> &Matrix {
-                                match i {
-                                    0 => &sc.pw_z,
-                                    1 => &sc.pb_z,
-                                    2 => &sc.pw_r,
-                                    3 => &sc.pb_r,
-                                    4 => &sc.pw_c,
-                                    _ => &sc.pb_c,
-                                }
-                            }
-                            for (i, (var, rows_, cols_)) in [
-                                (vars.w_z, width, hidden),
-                                (vars.b_z, 1, hidden),
-                                (vars.w_r, width, hidden),
-                                (vars.b_r, 1, hidden),
-                                (vars.w_c, width, hidden),
-                                (vars.b_c, 1, hidden),
-                            ]
-                            .into_iter()
-                            .enumerate()
-                            {
-                                let refs: Vec<&Matrix> =
-                                    tasks.iter().map(|t| field(&t.scratch, i)).collect();
-                                let slot = grad_slot(&mut grads, var, rows_, cols_, &mut pool);
-                                reduce_partials_parallel(worker_pool, slot, &refs);
-                            }
-                            for t in tasks {
-                                t.scratch.recycle(&mut pool);
-                            }
-                        } else {
-                            // Sequential canonical path: one scratch set
-                            // cycles through the pool (LIFO keeps it
-                            // cache-hot), each shard's partials merged the
-                            // moment they exist. Same partial contents, same
-                            // merge order — bitwise identical to the
-                            // parallel branch.
-                            for si in 0..num_shards {
-                                let a_s = shards.active[si + 1] - shards.active[si];
-                                let mut task = GruRowsBwdTask {
-                                    k_lo: shards.active[si],
-                                    k_hi: shards.active[si + 1],
-                                    p_lo: shards.dense[si],
-                                    gh: gh_it.next().expect("gh block"),
-                                    gx: gx_it.next().expect("gx block"),
-                                    scratch: make_scratch(&mut pool, a_s),
-                                };
-                                gru_rows_backward_shard(&ctx, &mut task);
-                                merge_and_recycle(&mut grads, &mut pool, task.scratch);
-                            }
-                        }
-                        drop(gh_it);
-                        drop(gx_it);
-                        pool_recycle(&mut pool, w_t_z);
-                        pool_recycle(&mut pool, w_t_r);
-                        pool_recycle(&mut pool, w_t_c);
-                        accumulate_pooled(&mut grads, &mut pool, h, gh);
-                        accumulate_pooled(&mut grads, &mut pool, x, gx_acc);
-                        grads[id] = Some(g);
-                        continue;
-                    }
 
                     // Pass-through rows keep the incoming gradient; active
                     // rows are replaced by the GRU adjoint below.
@@ -3896,263 +2394,6 @@ mod tests {
         );
     }
 
-    /// A toy 2-sample block-diagonal layout: paths 0..2 / 2..5, entities
-    /// 0..3 / 3..6, one padded path (row 3) inactive.
-    const SH_ROWS: [usize; 4] = [0, 1, 2, 4];
-    const SH_IDS: [usize; 4] = [1, 0, 4, 5];
-    const SH_ACTIVE: [usize; 3] = [0, 2, 4];
-    const SH_DENSE: [usize; 3] = [0, 2, 5];
-    const SH_ENTITY: [usize; 3] = [0, 3, 6];
-
-    /// Run the full fused chain (gather → gru_step_rows → segment_acc_rows)
-    /// with an optional shard split, returning (out value, loss, grads).
-    fn sharded_case(g: &mut Graph, split: Option<ShardSplit<'_>>) -> (Matrix, f32, Vec<Matrix>) {
-        let vars = toy_gru(g, 4, 3, 11);
-        let states = g.param(det_matrix(6, 3, 50));
-        let h = g.param(det_matrix(5, 4, 51));
-        let x = g.gather_rows_sharded(states, (&SH_IDS).into(), split.clone());
-        let h2 = g.gru_step_rows_sharded(&vars, h, x, (&SH_ROWS).into(), split.clone());
-        let acc0 = g.constant(Matrix::zeros(6, 4));
-        let out = g.segment_acc_rows_sharded(acc0, h2, (&SH_ROWS).into(), (&SH_IDS).into(), split);
-        let sq = g.square(out);
-        let loss = g.mean(sq);
-        g.backward(loss);
-        let grads = [
-            vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h, states,
-        ]
-        .iter()
-        .map(|&v| g.grad(v).unwrap().clone())
-        .collect();
-        (g.value(out).clone(), g.value(loss).get(0, 0), grads)
-    }
-
-    fn toy_split() -> ShardSplit<'static> {
-        ShardSplit::borrowed(&SH_ACTIVE, &SH_DENSE, &SH_ENTITY)
-    }
-
-    #[test]
-    fn sharded_forward_is_bitwise_identical_to_unsharded() {
-        let mut ga = Graph::new();
-        let (out_plain, _, grads_plain) = sharded_case(&mut ga, None);
-        let mut gb = Graph::new();
-        let (out_sharded, _, grads_sharded) = sharded_case(&mut gb, Some(toy_split()));
-        assert!(
-            out_plain.approx_eq(&out_sharded, 0.0),
-            "sharding must not change forward bits"
-        );
-        // Gradients agree numerically; the parameter grads may differ in the
-        // last bit (per-shard partial merge is the sharded canonical order).
-        for (a, b) in grads_plain.iter().zip(&grads_sharded) {
-            assert!(a.approx_eq(b, 1e-5));
-        }
-    }
-
-    #[test]
-    fn sharded_backward_is_bitwise_invariant_across_worker_counts() {
-        let mut base = Graph::new();
-        let (out_seq, loss_seq, grads_seq) = sharded_case(&mut base, Some(toy_split()));
-        for workers in [1, 2, 3, 8] {
-            let mut g = Graph::new();
-            g.set_worker_pool(Some(Arc::new(WorkerPool::new(workers))));
-            // Force even these toy-sized ops through the pool.
-            g.set_parallel_threshold(0);
-            let (out_par, loss_par, grads_par) = sharded_case(&mut g, Some(toy_split()));
-            assert!(
-                out_seq.approx_eq(&out_par, 0.0),
-                "forward diverged at {workers} workers"
-            );
-            assert_eq!(loss_seq, loss_par, "loss diverged at {workers} workers");
-            for (i, (a, b)) in grads_seq.iter().zip(&grads_par).enumerate() {
-                assert!(
-                    a.approx_eq(b, 0.0),
-                    "grad {i} diverged at {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_ops_handle_empty_shards() {
-        // Second sample contributes no active rows at this position.
-        let rows = [0usize, 1];
-        let ids = [1usize, 0];
-        let active = [0usize, 2, 2];
-        let split = ShardSplit::borrowed(&active, &SH_DENSE, &SH_ENTITY);
-        let run = |split: Option<ShardSplit<'_>>, pool: Option<Arc<WorkerPool>>| {
-            let mut g = Graph::new();
-            g.set_worker_pool(pool);
-            g.set_parallel_threshold(0);
-            let vars = toy_gru(&mut g, 4, 3, 13);
-            let states = g.param(det_matrix(6, 3, 60));
-            let h = g.param(det_matrix(5, 4, 61));
-            let x = g.gather_rows_sharded(states, (&ids).into(), split.clone());
-            let h2 = g.gru_step_rows_sharded(&vars, h, x, (&rows).into(), split.clone());
-            let acc0 = g.constant(Matrix::zeros(6, 4));
-            let out = g.segment_acc_rows_sharded(acc0, h2, (&rows).into(), (&ids).into(), split);
-            let sq = g.square(out);
-            let loss = g.mean(sq);
-            g.backward(loss);
-            (g.value(out).clone(), g.grad(h).unwrap().clone())
-        };
-        let (out_seq, gh_seq) = run(Some(split.clone()), None);
-        let (out_par, gh_par) = run(Some(split.clone()), Some(Arc::new(WorkerPool::new(4))));
-        assert!(out_seq.approx_eq(&out_par, 0.0));
-        assert!(gh_seq.approx_eq(&gh_par, 0.0));
-        let (out_plain, _) = run(None, None);
-        assert!(out_seq.approx_eq(&out_plain, 0.0));
-    }
-
-    #[test]
-    fn single_shard_splits_record_no_shards() {
-        // A 1-sample "megabatch" must stay on the legacy backward path, so
-        // its gradients remain bitwise identical to plain single plans.
-        let (active, dense, entity) = ([0usize, 4], [0usize, 5], [0usize, 6]);
-        let split = ShardSplit::borrowed(&active, &dense, &entity);
-        let mut ga = Graph::new();
-        let (_, loss_a, grads_a) = sharded_case(&mut ga, Some(split));
-        let mut gb = Graph::new();
-        let (_, loss_b, grads_b) = sharded_case(&mut gb, None);
-        assert_eq!(loss_a, loss_b);
-        for (a, b) in grads_a.iter().zip(&grads_b) {
-            assert!(a.approx_eq(b, 0.0), "1-shard split must be a no-op");
-        }
-    }
-
-    /// A 3-block dense row partition of 7 rows (deliberately unbalanced,
-    /// with one single-row block).
-    const DENSE_BOUNDS: [usize; 4] = [0, 3, 4, 7];
-
-    /// Readout-shaped chain: matmul → add_bias → selu → matmul, dense GRU on
-    /// top, optionally recorded with the dense shard layout. Returns the
-    /// output value, the loss bits and every parameter gradient.
-    fn dense_sharded_case(g: &mut Graph, bounds: Option<&[usize]>) -> (Matrix, f32, Vec<Matrix>) {
-        let vars = toy_gru(g, 4, 4, 21);
-        let h = g.param(det_matrix(7, 4, 70));
-        let acc = g.param(det_matrix(7, 4, 71));
-        let stepped = g.gru_step_dense_sharded(&vars, h, acc, bounds.map(Into::into));
-        let w1 = g.param(det_matrix(4, 5, 72));
-        let b1 = g.param(det_matrix(1, 5, 73));
-        let lin = g.matmul_sharded(stepped, w1, bounds.map(Into::into));
-        let biased = g.add_bias_sharded(lin, b1, bounds.map(Into::into));
-        let act = g.selu_sharded(biased, bounds.map(Into::into));
-        let w2 = g.param(det_matrix(5, 1, 74));
-        let out = g.matmul_sharded(act, w2, bounds.map(Into::into));
-        let sq = g.square(out);
-        let loss = g.mean(sq);
-        g.backward(loss);
-        let grads = [
-            vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h, acc, w1, b1, w2,
-        ]
-        .iter()
-        .map(|&v| g.grad(v).unwrap().clone())
-        .collect();
-        (g.value(out).clone(), g.value(loss).get(0, 0), grads)
-    }
-
-    #[test]
-    fn dense_sharded_forward_is_bitwise_identical_to_unsharded() {
-        let mut ga = Graph::new();
-        let (out_plain, _, grads_plain) = dense_sharded_case(&mut ga, None);
-        let mut gb = Graph::new();
-        let (out_sharded, _, grads_sharded) = dense_sharded_case(&mut gb, Some(&DENSE_BOUNDS));
-        assert!(
-            out_plain.approx_eq(&out_sharded, 0.0),
-            "dense sharding must not change forward bits"
-        );
-        // Gradients agree numerically; weight grads may differ in the last
-        // bit (per-shard partial merge is the sharded canonical grouping).
-        for (i, (a, b)) in grads_plain.iter().zip(&grads_sharded).enumerate() {
-            assert!(a.approx_eq(b, 1e-4), "grad {i} diverged numerically");
-        }
-    }
-
-    #[test]
-    fn dense_sharded_backward_is_bitwise_invariant_across_worker_counts() {
-        let mut base = Graph::new();
-        let (out_seq, loss_seq, grads_seq) = dense_sharded_case(&mut base, Some(&DENSE_BOUNDS));
-        for workers in [1, 2, 3, 8] {
-            let mut g = Graph::new();
-            g.set_worker_pool(Some(Arc::new(WorkerPool::new(workers))));
-            // Force even toy-sized dense ops through the pool.
-            g.set_parallel_threshold(0);
-            let (out_par, loss_par, grads_par) = dense_sharded_case(&mut g, Some(&DENSE_BOUNDS));
-            assert!(
-                out_seq.approx_eq(&out_par, 0.0),
-                "forward diverged at {workers} workers"
-            );
-            assert_eq!(
-                loss_seq.to_bits(),
-                loss_par.to_bits(),
-                "loss diverged at {workers} workers"
-            );
-            for (i, (a, b)) in grads_seq.iter().zip(&grads_par).enumerate() {
-                assert!(
-                    a.approx_eq(b, 0.0),
-                    "grad {i} diverged at {workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dense_sharded_ops_reset_reuse_is_bit_identical() {
-        let mut fresh = Graph::new();
-        let (_, loss_fresh, grads_fresh) = dense_sharded_case(&mut fresh, Some(&DENSE_BOUNDS));
-        let mut reused = Graph::new();
-        let _ = dense_sharded_case(&mut reused, Some(&DENSE_BOUNDS));
-        reused.reset();
-        let (_, loss_reused, grads_reused) = dense_sharded_case(&mut reused, Some(&DENSE_BOUNDS));
-        assert_eq!(loss_fresh.to_bits(), loss_reused.to_bits());
-        for (a, b) in grads_fresh.iter().zip(&grads_reused) {
-            assert!(a.approx_eq(b, 0.0), "reused dense-sharded tape drifted");
-        }
-    }
-
-    #[test]
-    fn single_block_dense_bounds_record_no_shards() {
-        // A [0, n] partition (one shard) must stay on the legacy bitwise
-        // path — exactly what 1-sample megabatch plans rely on.
-        let single = [0usize, 7];
-        let mut ga = Graph::new();
-        let (_, loss_a, grads_a) = dense_sharded_case(&mut ga, Some(&single));
-        let mut gb = Graph::new();
-        let (_, loss_b, grads_b) = dense_sharded_case(&mut gb, None);
-        assert_eq!(loss_a.to_bits(), loss_b.to_bits());
-        for (a, b) in grads_a.iter().zip(&grads_b) {
-            assert!(a.approx_eq(b, 0.0), "1-block dense split must be a no-op");
-        }
-    }
-
-    #[test]
-    fn dense_gru_step_matches_plain_gru_step_numerically() {
-        let run = |bounds: Option<&[usize]>| -> (Matrix, Vec<Matrix>) {
-            let mut g = Graph::new();
-            let vars = toy_gru(&mut g, 4, 3, 33);
-            let h = g.param(det_matrix(7, 4, 80));
-            let x = g.param(det_matrix(7, 3, 81));
-            let out = g.gru_step_dense_sharded(&vars, h, x, bounds.map(Into::into));
-            let sq = g.square(out);
-            let loss = g.mean(sq);
-            g.backward(loss);
-            let grads = [
-                vars.w_z, vars.b_z, vars.w_r, vars.b_r, vars.w_c, vars.b_c, h, x,
-            ]
-            .iter()
-            .map(|&v| g.grad(v).unwrap().clone())
-            .collect();
-            (g.value(out).clone(), grads)
-        };
-        let (out_plain, grads_plain) = run(None);
-        let (out_dense, grads_dense) = run(Some(&DENSE_BOUNDS));
-        assert!(
-            out_plain.approx_eq(&out_dense, 0.0),
-            "dense GRU forward must be bitwise identical"
-        );
-        for (i, (a, b)) in grads_plain.iter().zip(&grads_dense).enumerate() {
-            assert!(a.approx_eq(b, 1e-4), "dense GRU grad {i} diverged");
-        }
-    }
-
     #[test]
     fn inference_steps_consume_their_input_state_in_place() {
         let mut g = Graph::new();
@@ -4207,7 +2448,7 @@ mod tests {
             let mut g = Graph::new();
             let x = g.param(det_matrix(3, 4, 77));
             let y = if input_shared {
-                g.gather_rows_sharded(x, SharedIndices::full(shared.clone()).into(), None)
+                g.gather_rows(x, SharedIndices::full(shared.clone()))
             } else {
                 g.gather_rows(x, &ids)
             };

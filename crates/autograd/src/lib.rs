@@ -48,7 +48,6 @@ pub mod index;
 pub mod pool;
 pub mod trace;
 
-pub use graph::{Graph, GruVars, ShardSplit, Var, ZERO_COPY_ENV};
+pub use graph::{Graph, GruVars, Var};
 pub use index::{IndexInput, SharedIndices};
 pub use pool::TapePool;
-pub use rayon::WorkerPool;

@@ -1,7 +1,7 @@
 //! **Figure 2 reproduction** — the paper's headline experiment.
 //!
-//! Pipeline (matching Section 3 of the paper, scaled down — see
-//! EXPERIMENTS.md):
+//! Pipeline (matching Section 3 of the paper, scaled down — see the
+//! README's "Reproducing the paper's figures" section):
 //!
 //! 1. Generate GEANT2 training samples and held-out GEANT2 + NSFNET
 //!    evaluation samples with the packet-level simulator. Every sample mixes
@@ -15,6 +15,8 @@
 //!    Figure 2 artifact) plus the E3 summary table.
 //!
 //! Results are also written to `target/rn-results/figure2_reports.json`.
+//! The process exits nonzero when any of the three shape checks against the
+//! paper's claims fails.
 //!
 //! Run: `cargo run --release -p rn-bench --bin figure2`
 //! Scale with RN_TRAIN_SAMPLES / RN_EVAL_SAMPLES / RN_EPOCHS / ... (see lib).
@@ -124,6 +126,12 @@ fn main() {
     routenet::persist::save_model(&extended, models_out).ok();
     let models_out = std::path::Path::new("target/rn-results/figure2_original_model.json");
     routenet::persist::save_model(&original, models_out).ok();
+
+    let failed = [claim1, claim2, claim3].iter().filter(|&&ok| !ok).count();
+    if failed > 0 {
+        eprintln!("[figure2] {failed} of 3 paper claims failed");
+        std::process::exit(1);
+    }
 }
 
 fn tick(ok: bool) -> &'static str {

@@ -27,8 +27,7 @@
 //!
 //! Streaming composition (`RN_STREAM_COMPOSE`) is forced on for the training
 //! run — this binary is the end-to-end proof that the memory-bounded path
-//! trains real models. Set `RN_INTRA_SHARDS` to fan out the dense phases of
-//! the giant single-sample compositions across cores.
+//! trains real models.
 
 use rn_bench::{cached_dataset, env_f64, env_usize, ExperimentConfig};
 use rn_netgraph::generators::{isp_tiered, TierConfig};

@@ -100,33 +100,13 @@ pub struct CompiledSteps {
     /// CSR index pointer into the active-row compaction buffers.
     pub active_offsets: Vec<usize>,
     /// Path rows active at each step (rows whose mask is 1), step-major.
-    pub active_rows_flat: Vec<usize>,
+    /// Held behind an `Arc` so a step binds a refcounted window of it
+    /// ([`rn_autograd::SharedIndices`]) instead of a copy.
+    pub active_rows_flat: Arc<[usize]>,
     /// Entity id per active row, aligned with `active_rows_flat`. The
     /// compacted forward gathers/scatter-adds through these, skipping
     /// padded rows entirely.
-    pub active_ids_flat: Vec<usize>,
-    /// Megabatch shard bounds into each step's active list, flat with
-    /// stride `num_shards + 1`: step `s`, shard `b` covers active entries
-    /// `shard_bounds[s*(num_shards+1)+b] .. ..+b+1` (offsets relative to
-    /// the step's active slice). Empty when the plan is unsharded.
-    pub shard_bounds: Vec<usize>,
-    /// Number of shards (samples) the plan was packed from; 0 = unsharded.
-    pub num_shards: usize,
-    /// Lazily built `Arc<[usize]>` mirrors of the index buffers for the
-    /// tape's zero-copy mode — steps then bind refcounted views instead of
-    /// pooled copies. Built on first use, invalidated by
-    /// [`CompiledSteps::compute_shard_bounds`].
-    shared: OnceLock<SharedCsr>,
-}
-
-/// Zero-copy mirror of the [`CompiledSteps`] flat index buffers: the same
-/// words, re-homed once into `Arc<[usize]>` allocations so per-step windows
-/// ([`rn_autograd::SharedIndices`]) are refcount bumps rather than copies.
-#[derive(Debug, Clone)]
-struct SharedCsr {
-    active_rows: Arc<[usize]>,
-    active_ids: Arc<[usize]>,
-    shard_bounds: Arc<[usize]>,
+    pub active_ids_flat: Arc<[usize]>,
 }
 
 impl CompiledSteps {
@@ -139,12 +119,9 @@ impl CompiledSteps {
             ids_flat: Vec::with_capacity(steps.iter().map(|s| s.ids.len()).sum()),
             masks: Vec::with_capacity(steps.len()),
             active_offsets: Vec::with_capacity(steps.len() + 1),
-            active_rows_flat: Vec::new(),
-            active_ids_flat: Vec::new(),
-            shard_bounds: Vec::new(),
-            num_shards: 0,
-            shared: OnceLock::new(),
+            ..Self::default()
         };
+        let (mut active_rows, mut active_ids) = (Vec::new(), Vec::new());
         out.offsets.push(0);
         out.active_offsets.push(0);
         for step in steps {
@@ -155,12 +132,14 @@ impl CompiledSteps {
             out.masks.push(step.mask.clone());
             for (row, &id) in step.ids.iter().enumerate() {
                 if step.mask.get(row, 0) > 0.0 {
-                    out.active_rows_flat.push(row);
-                    out.active_ids_flat.push(id);
+                    active_rows.push(row);
+                    active_ids.push(id);
                 }
             }
-            out.active_offsets.push(out.active_rows_flat.len());
+            out.active_offsets.push(active_rows.len());
         }
+        out.active_rows_flat = active_rows.into();
+        out.active_ids_flat = active_ids.into();
         out
     }
 
@@ -179,261 +158,24 @@ impl CompiledSteps {
         &self.ids_flat[self.offsets[s]..self.offsets[s + 1]]
     }
 
-    /// The active path rows of step `s`.
-    pub fn active_rows(&self, s: usize) -> &[usize] {
-        &self.active_rows_flat[self.active_offsets[s]..self.active_offsets[s + 1]]
-    }
-
-    /// The entity ids of the active rows of step `s`.
-    pub fn active_ids(&self, s: usize) -> &[usize] {
-        &self.active_ids_flat[self.active_offsets[s]..self.active_offsets[s + 1]]
-    }
-
-    /// Precompile per-step shard bounds for a block-diagonal megabatch whose
-    /// per-sample path row bounds are `path_bounds` (`B + 1` ascending
-    /// entries). Each step's active rows are ascending, so every sample's
-    /// slice of the active list is found by binary search; the resulting
-    /// bounds are relative to the step's active slice and feed straight into
-    /// the sharded tape ops.
-    pub fn compute_shard_bounds(&mut self, path_bounds: &[usize]) {
-        // The shard-bound buffer is about to change under any previously
-        // built zero-copy mirror; drop it so the next view rebuilds.
-        self.shared = OnceLock::new();
-        let shards = path_bounds.len().saturating_sub(1);
-        self.num_shards = shards;
-        self.shard_bounds.clear();
-        self.shard_bounds.reserve(self.len() * (shards + 1));
-        let mut bounds = std::mem::take(&mut self.shard_bounds);
-        for s in 0..self.len() {
-            let active = self.active_rows(s);
-            debug_assert!(active.windows(2).all(|w| w[0] < w[1]));
-            for &bound in path_bounds {
-                bounds.push(active.partition_point(|&row| row < bound));
-            }
-        }
-        self.shard_bounds = bounds;
-    }
-
-    /// The shard bounds of step `s` (len `num_shards + 1`, offsets relative
-    /// to the step's active slice). Panics when the plan is unsharded.
-    pub fn step_shard_bounds(&self, s: usize) -> &[usize] {
-        let stride = self.num_shards + 1;
-        &self.shard_bounds[s * stride..(s + 1) * stride]
-    }
-
-    fn shared(&self) -> &SharedCsr {
-        self.shared.get_or_init(|| SharedCsr {
-            active_rows: self.active_rows_flat.as_slice().into(),
-            active_ids: self.active_ids_flat.as_slice().into(),
-            shard_bounds: self.shard_bounds.as_slice().into(),
-        })
-    }
-
-    /// Zero-copy view of [`CompiledSteps::active_rows`]: an `Arc`-backed
-    /// window the tape stores without copying the indices.
+    /// The active path rows of step `s`: an `Arc`-backed window the tape
+    /// stores without copying the indices.
     pub fn shared_active_rows(&self, s: usize) -> SharedIndices {
         SharedIndices::new(
-            self.shared().active_rows.clone(),
+            self.active_rows_flat.clone(),
             self.active_offsets[s],
             self.active_offsets[s + 1],
         )
     }
 
-    /// Zero-copy view of [`CompiledSteps::active_ids`].
+    /// The entity ids of the active rows of step `s`, as a window like
+    /// [`CompiledSteps::shared_active_rows`].
     pub fn shared_active_ids(&self, s: usize) -> SharedIndices {
         SharedIndices::new(
-            self.shared().active_ids.clone(),
+            self.active_ids_flat.clone(),
             self.active_offsets[s],
             self.active_offsets[s + 1],
         )
-    }
-
-    /// Zero-copy view of [`CompiledSteps::step_shard_bounds`]. Panics when
-    /// the plan is unsharded, like its borrowing counterpart.
-    pub fn shared_step_shard_bounds(&self, s: usize) -> SharedIndices {
-        let stride = self.num_shards + 1;
-        SharedIndices::new(
-            self.shared().shard_bounds.clone(),
-            s * stride,
-            (s + 1) * stride,
-        )
-    }
-}
-
-/// Per-sample row bounds of a block-diagonal megabatch plan — the shard
-/// layout the fused forward/backward passes parallelize over.
-///
-/// All three vectors have `B + 1` ascending entries; sample `b` owns path
-/// rows `path_bounds[b]..path_bounds[b+1]`, link rows
-/// `link_bounds[b]..link_bounds[b+1]` and node rows
-/// `node_bounds[b]..node_bounds[b+1]`. Because the megabatch is
-/// block-diagonal, a shard's gathers and scatters never leave its own
-/// ranges, which is what lets shards run on separate threads with **bitwise
-/// identical** results.
-#[derive(Debug, Clone)]
-pub struct PlanShards {
-    /// Per-sample path row bounds (len `B + 1`).
-    pub path_bounds: Vec<usize>,
-    /// Per-sample directed-link row bounds (len `B + 1`).
-    pub link_bounds: Vec<usize>,
-    /// Per-sample node row bounds (len `B + 1`).
-    pub node_bounds: Vec<usize>,
-    /// Per-sample queue row bounds (len `B + 1`; all-zero spans for packs
-    /// without queue entities).
-    pub queue_bounds: Vec<usize>,
-    /// Balanced row-block bounds over the **path** rows for the dense
-    /// per-row work — the readout MLP forward/backward (len `B + 1`, built
-    /// by [`balanced_row_bounds`]). Unlike the per-sample bounds above,
-    /// dense ops touch every row independently, so the partition need not
-    /// follow sample boundaries: balanced blocks keep ragged batches from
-    /// leaving workers idle. Empty disables dense sharding (legacy path).
-    pub dense_path_bounds: Vec<usize>,
-    /// Balanced row-block bounds over the link rows for the dense link-GRU
-    /// entity update (len `B + 1`, empty = dense sharding disabled).
-    pub dense_link_bounds: Vec<usize>,
-    /// Balanced row-block bounds over the node rows for the dense node-GRU
-    /// entity update (len `B + 1`, empty = dense sharding disabled).
-    pub dense_node_bounds: Vec<usize>,
-    /// Balanced row-block bounds over the queue rows for the dense queue-GRU
-    /// entity update (len `B + 1`, empty = dense sharding disabled or no
-    /// queue entities).
-    pub dense_queue_bounds: Vec<usize>,
-    /// Lazily built `Arc<[usize]>` mirrors of the bound vectors for the
-    /// tape's zero-copy mode (see [`CompiledSteps`]'s mirror).
-    pub(crate) shared: OnceLock<SharedShardBounds>,
-}
-
-/// Zero-copy mirror of the [`PlanShards`] bound vectors.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedShardBounds {
-    path: Arc<[usize]>,
-    link: Arc<[usize]>,
-    node: Arc<[usize]>,
-    queue: Arc<[usize]>,
-    dense_path: Arc<[usize]>,
-    dense_link: Arc<[usize]>,
-    dense_node: Arc<[usize]>,
-    dense_queue: Arc<[usize]>,
-}
-
-// Manual equality: the lazy mirror is a cache of the bound vectors, so it is
-// (and must stay) excluded from comparisons.
-impl PartialEq for PlanShards {
-    fn eq(&self, other: &Self) -> bool {
-        self.path_bounds == other.path_bounds
-            && self.link_bounds == other.link_bounds
-            && self.node_bounds == other.node_bounds
-            && self.queue_bounds == other.queue_bounds
-            && self.dense_path_bounds == other.dense_path_bounds
-            && self.dense_link_bounds == other.dense_link_bounds
-            && self.dense_node_bounds == other.dense_node_bounds
-            && self.dense_queue_bounds == other.dense_queue_bounds
-    }
-}
-
-impl Eq for PlanShards {}
-
-/// Evenly balanced row-block bounds: `shards` contiguous blocks covering
-/// `0..total` whose sizes differ by at most one row (`bounds[s] = s * total
-/// / shards`, `shards + 1` ascending entries). Every row lands in exactly
-/// one block; blocks may be empty when `total < shards`. This is the dense
-/// shard partition — any contiguous partition is bitwise-safe for dense
-/// ops, so the balanced one is chosen for load balance on ragged batches.
-pub fn balanced_row_bounds(total: usize, shards: usize) -> Vec<usize> {
-    let shards = shards.max(1);
-    (0..=shards).map(|s| s * total / shards).collect()
-}
-
-impl PlanShards {
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.path_bounds.len().saturating_sub(1)
-    }
-
-    /// True when there are no shards.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The entity bounds for a step of the given kind.
-    pub fn entity_bounds(&self, kind: EntityKind) -> &[usize] {
-        match kind {
-            EntityKind::Link => &self.link_bounds,
-            EntityKind::Node => &self.node_bounds,
-            EntityKind::Queue => &self.queue_bounds,
-        }
-    }
-
-    /// The dense row partition for the readout MLP (path rows), or `None`
-    /// when dense sharding is disabled (bounds stripped or degenerate).
-    pub fn dense_path(&self) -> Option<&[usize]> {
-        (self.dense_path_bounds.len() > 2).then_some(self.dense_path_bounds.as_slice())
-    }
-
-    /// The dense row partition for the link-GRU entity update, if enabled.
-    pub fn dense_link(&self) -> Option<&[usize]> {
-        (self.dense_link_bounds.len() > 2).then_some(self.dense_link_bounds.as_slice())
-    }
-
-    /// The dense row partition for the node-GRU entity update, if enabled.
-    pub fn dense_node(&self) -> Option<&[usize]> {
-        (self.dense_node_bounds.len() > 2).then_some(self.dense_node_bounds.as_slice())
-    }
-
-    /// The dense row partition for the queue-GRU entity update, if enabled.
-    pub fn dense_queue(&self) -> Option<&[usize]> {
-        (self.dense_queue_bounds.len() > 2).then_some(self.dense_queue_bounds.as_slice())
-    }
-
-    fn shared(&self) -> &SharedShardBounds {
-        self.shared.get_or_init(|| SharedShardBounds {
-            path: self.path_bounds.as_slice().into(),
-            link: self.link_bounds.as_slice().into(),
-            node: self.node_bounds.as_slice().into(),
-            queue: self.queue_bounds.as_slice().into(),
-            dense_path: self.dense_path_bounds.as_slice().into(),
-            dense_link: self.dense_link_bounds.as_slice().into(),
-            dense_node: self.dense_node_bounds.as_slice().into(),
-            dense_queue: self.dense_queue_bounds.as_slice().into(),
-        })
-    }
-
-    /// Zero-copy view of the per-sample path bounds.
-    pub fn shared_path_bounds(&self) -> SharedIndices {
-        SharedIndices::full(self.shared().path.clone())
-    }
-
-    /// Zero-copy view of [`PlanShards::entity_bounds`].
-    pub fn shared_entity_bounds(&self, kind: EntityKind) -> SharedIndices {
-        SharedIndices::full(match kind {
-            EntityKind::Link => self.shared().link.clone(),
-            EntityKind::Node => self.shared().node.clone(),
-            EntityKind::Queue => self.shared().queue.clone(),
-        })
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_path`].
-    pub fn shared_dense_path(&self) -> Option<SharedIndices> {
-        (self.dense_path_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_path.clone()))
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_link`].
-    pub fn shared_dense_link(&self) -> Option<SharedIndices> {
-        (self.dense_link_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_link.clone()))
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_node`].
-    pub fn shared_dense_node(&self) -> Option<SharedIndices> {
-        (self.dense_node_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_node.clone()))
-    }
-
-    /// Zero-copy counterpart of [`PlanShards::dense_queue`].
-    pub fn shared_dense_queue(&self) -> Option<SharedIndices> {
-        (self.dense_queue_bounds.len() > 2)
-            .then(|| SharedIndices::full(self.shared().dense_queue.clone()))
     }
 }
 
@@ -481,20 +223,14 @@ pub struct SamplePlan {
     pub targets_raw: Vec<f64>,
     /// Rows whose labels are reliable enough to train/evaluate on.
     pub reliable_idx: Vec<usize>,
-    /// Megabatch shard layout (`None` for single-sample plans). When set,
-    /// the fused sweep records shard descriptors on its tape nodes, enabling
-    /// the parallel sharded backward and its canonical per-shard gradient
-    /// reduction.
-    pub shards: Option<PlanShards>,
     /// Memoized structure fingerprint (see
     /// [`SamplePlan::structure_fingerprint`]): computed on first use, shared
     /// by clones. Covers only the shape-dependent parts of the plan, so it
     /// stays valid when features (targets, reliability) are edited in place.
     pub(crate) structure_fp: OnceLock<u64>,
-    /// Lazily built `Arc` mirror of `reliable_idx` for the tape's zero-copy
-    /// loss gather. Must be invalidated (reset to an empty cell) wherever
-    /// `reliable_idx` is rewritten in place — feature refill, eval
-    /// re-thresholding.
+    /// Lazily built `Arc` mirror of `reliable_idx` for the loss gather.
+    /// Must be invalidated (reset to an empty cell) wherever `reliable_idx`
+    /// is rewritten in place — feature refill, eval re-thresholding.
     pub(crate) reliable_shared: OnceLock<Arc<[usize]>>,
 }
 
@@ -703,7 +439,6 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         targets_norm,
         targets_raw,
         reliable_idx,
-        shards: None,
         structure_fp: OnceLock::new(),
         reliable_shared: OnceLock::new(),
     }
@@ -808,11 +543,6 @@ impl std::error::Error for MegabatchError {}
 /// let mb = build_megabatch(&parts);
 /// assert_eq!(mb.plan.n_paths, plans[0].n_paths + plans[1].n_paths);
 /// assert_eq!(mb.path_ranges.len(), 2);
-/// // Multi-sample packs precompile the shard layout the parallel backward
-/// // fans out over (1-sample packs stay on the legacy bitwise path).
-/// let shards = mb.plan.shards.as_ref().unwrap();
-/// assert_eq!(shards.len(), 2);
-/// assert!(shards.dense_path().is_some());
 /// ```
 pub fn build_megabatch(parts: &[&SamplePlan]) -> MegabatchPlan {
     match try_build_megabatch(parts) {
@@ -843,7 +573,7 @@ pub(crate) fn copy_rows(dst: &mut Matrix, at: usize, src: &Matrix) {
 
 impl SamplePlan {
     /// Zero-copy view of [`SamplePlan::reliable_idx`] — what the loss
-    /// gather binds in the tape's zero-copy mode instead of a pooled copy.
+    /// gather binds instead of a pooled copy.
     pub fn reliable_idx_shared(&self) -> SharedIndices {
         SharedIndices::full(
             self.reliable_shared
@@ -1273,145 +1003,6 @@ mod tests {
                 .sum();
             assert!((sum - 1.0).abs() < 1e-5, "sample {b} weight sum {sum}");
         }
-    }
-
-    #[test]
-    fn megabatch_shard_layout_is_disjoint_complete_and_sample_aligned() {
-        let topo = topologies::toy5();
-        let config = GeneratorConfig {
-            sim: SimConfig {
-                duration_s: 60.0,
-                warmup_s: 10.0,
-                ..SimConfig::default()
-            },
-            ..GeneratorConfig::default()
-        };
-        let ds = generate(&topo, &config, 34, 3);
-        let delays: Vec<f64> = ds
-            .samples
-            .iter()
-            .flat_map(|s| s.targets.iter().map(|t| t.mean_delay_s.max(1e-6)))
-            .collect();
-        let prep = preprocessing(&delays);
-        let cfg = plan_config(&prep);
-        let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| build_plan(s, &cfg)).collect();
-        let parts: Vec<&SamplePlan> = plans.iter().collect();
-        let mb = build_megabatch(&parts);
-
-        let shards = mb.plan.shards.as_ref().expect("megabatch must shard");
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards.path_bounds, vec![0, 20, 40, 60]);
-        assert_eq!(*shards.link_bounds.last().unwrap(), mb.plan.num_links);
-        assert_eq!(*shards.node_bounds.last().unwrap(), mb.plan.num_nodes);
-
-        for csr in [&mb.plan.extended_csr, &mb.plan.original_csr] {
-            assert_eq!(csr.num_shards, 3);
-            for s in 0..csr.len() {
-                let bounds = csr.step_shard_bounds(s);
-                let active = csr.active_rows(s);
-                // Complete and disjoint: ascending bounds spanning the list.
-                assert_eq!(bounds[0], 0);
-                assert_eq!(*bounds.last().unwrap(), active.len());
-                assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-                // Sample-aligned: shard b's rows live in b's path range.
-                for b in 0..3 {
-                    for &row in &active[bounds[b]..bounds[b + 1]] {
-                        assert!(
-                            row >= shards.path_bounds[b] && row < shards.path_bounds[b + 1],
-                            "step {s} shard {b}: row {row} outside sample range"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_sample_megabatch_stays_unsharded() {
-        let (_, sample) = toy_sample();
-        let delays: Vec<f64> = sample
-            .targets
-            .iter()
-            .map(|t| t.mean_delay_s.max(1e-6))
-            .collect();
-        let prep = preprocessing(&delays);
-        let plan = build_plan(&sample, &plan_config(&prep));
-        // Without the RN_INTRA_SHARDS opt-in (compose_with(parts, N) /
-        // env), a 1-sample megabatch runs the legacy (bitwise-seed)
-        // kernels entirely unsharded.
-        let mb = crate::compose::ComposedMegabatch::compose_with(&[&plan], 1)
-            .unwrap()
-            .into_plan();
-        assert!(
-            mb.plan.shards.is_none(),
-            "1-sample megabatch must run the legacy (bitwise-seed) kernels"
-        );
-        assert_eq!(mb.plan.extended_csr.num_shards, 0);
-    }
-
-    #[test]
-    fn balanced_row_bounds_handles_degenerate_shapes() {
-        // total < shards: every row still lands in exactly one block; the
-        // surplus blocks are empty, never out of range.
-        let bounds = balanced_row_bounds(3, 8);
-        assert_eq!(bounds.len(), 9);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), 3);
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        let sizes: usize = bounds.windows(2).map(|w| w[1] - w[0]).sum();
-        assert_eq!(sizes, 3, "blocks partition all rows");
-
-        // total == 0: all-empty blocks, still well-formed bounds.
-        let empty = balanced_row_bounds(0, 4);
-        assert_eq!(empty, vec![0, 0, 0, 0, 0]);
-
-        // shards == 0 clamps to one block spanning everything.
-        assert_eq!(balanced_row_bounds(7, 0), vec![0, 7]);
-
-        // Exact division: equal blocks.
-        assert_eq!(balanced_row_bounds(8, 4), vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn plan_shards_degenerate_bounds_disable_dense_cleanly() {
-        // A PlanShards whose dense bounds are stripped (legacy layout) or
-        // collapsed to a single block must report dense sharding disabled —
-        // the `len() > 2` gate — while per-sample accessors keep working.
-        let shards = PlanShards {
-            path_bounds: vec![0, 10],
-            link_bounds: vec![0, 4],
-            node_bounds: vec![0, 3],
-            queue_bounds: vec![0, 0],
-            dense_path_bounds: Vec::new(),
-            dense_link_bounds: balanced_row_bounds(4, 1),
-            dense_node_bounds: balanced_row_bounds(0, 4),
-            dense_queue_bounds: Vec::new(),
-            shared: OnceLock::new(),
-        };
-        assert_eq!(shards.len(), 1);
-        assert!(!shards.is_empty());
-        assert!(shards.dense_path().is_none(), "stripped bounds disable");
-        assert!(shards.dense_link().is_none(), "single block disables");
-        assert!(
-            shards.dense_node().is_some(),
-            "zero-row multi-block bounds stay structurally enabled"
-        );
-        assert_eq!(shards.entity_bounds(EntityKind::Link), &[0, 4]);
-        assert_eq!(shards.entity_bounds(EntityKind::Node), &[0, 3]);
-
-        let empty = PlanShards {
-            path_bounds: Vec::new(),
-            link_bounds: Vec::new(),
-            node_bounds: Vec::new(),
-            queue_bounds: Vec::new(),
-            dense_path_bounds: Vec::new(),
-            dense_link_bounds: Vec::new(),
-            dense_node_bounds: Vec::new(),
-            dense_queue_bounds: Vec::new(),
-            shared: OnceLock::new(),
-        };
-        assert_eq!(empty.len(), 0);
-        assert!(empty.is_empty());
     }
 
     #[test]

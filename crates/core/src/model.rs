@@ -2,11 +2,11 @@
 
 use crate::config::{ModelConfig, NodeUpdate};
 use crate::entities::{
-    build_megabatch, build_plan, CompiledSteps, EntityKind, MegabatchPlan, PlanConfig, PlanShards,
-    SamplePlan, StepPlan, TargetKind,
+    build_megabatch, build_plan, CompiledSteps, EntityKind, MegabatchPlan, PlanConfig, SamplePlan,
+    StepPlan, TargetKind,
 };
 use crate::features::FeatureScales;
-use rn_autograd::{Graph, IndexInput, ShardSplit, Var};
+use rn_autograd::{Graph, Var};
 use rn_dataset::{Dataset, Normalizer, Sample};
 use rn_nn::{Activation, BoundGruCell, BoundMlp, GruCell, Layer, Mlp};
 use rn_tensor::{Matrix, Prng};
@@ -184,7 +184,6 @@ fn path_sweep(
     num_nodes: usize,
     num_queues: usize,
     collect_node_messages: bool,
-    shards: Option<&PlanShards>,
 ) -> (Var, Var, Option<Var>, Option<Var>) {
     let state_dim = g.value(link_state).cols();
     let mut link_acc = g.constant_with(num_links, state_dim, |_| {});
@@ -199,65 +198,34 @@ fn path_sweep(
         None
     };
     let gru_vars = gru_path.vars();
-    // Zero-copy mode: every step binds Arc-backed views of the compiled CSR
-    // buffers instead of pooled copies, so per-step index traffic collapses
-    // to refcount bumps. The copying branch is the legacy bitwise path.
-    let zero_copy = g.zero_copy();
     for s in 0..csr.len() {
         if csr.active[s] == 0 {
             continue;
         }
         // Row compaction: gather states for the *active* rows only, advance
         // only those rows through the GRU, and scatter only their messages.
-        // Padded rows never touch a kernel.
-        let (rows, ids): (IndexInput<'_>, IndexInput<'_>) = if zero_copy {
-            (
-                csr.shared_active_rows(s).into(),
-                csr.shared_active_ids(s).into(),
-            )
-        } else {
-            (csr.active_rows(s).into(), csr.active_ids(s).into())
-        };
+        // Padded rows never touch a kernel. Every step binds Arc-backed views
+        // of the compiled CSR buffers, so per-step index traffic is refcount
+        // bumps, not copies.
+        let (rows, ids) = (csr.shared_active_rows(s), csr.shared_active_ids(s));
         let states = match csr.kinds[s] {
             EntityKind::Link => link_state,
             EntityKind::Node => node_state.expect("node step requires node states"),
             EntityKind::Queue => queue_state.expect("queue step requires queue states"),
         };
-        // Megabatch plans carry per-sample shard bounds: the fused ops then
-        // record shard descriptors, so this step's work can fan out across
-        // a worker pool (forward and backward) with bitwise-identical
-        // results, and the backward reduces parameter gradients in the
-        // canonical per-shard order.
-        let split = shards.map(|sh| {
-            if zero_copy {
-                ShardSplit {
-                    active: csr.shared_step_shard_bounds(s).into(),
-                    dense: sh.shared_path_bounds().into(),
-                    entity: sh.shared_entity_bounds(csr.kinds[s]).into(),
-                }
-            } else {
-                ShardSplit::borrowed(
-                    csr.step_shard_bounds(s),
-                    &sh.path_bounds,
-                    sh.entity_bounds(csr.kinds[s]),
-                )
-            }
-        });
-        let x = g.gather_rows_sharded(states, ids.clone(), split.clone());
-        path_state = g.gru_step_rows_sharded(&gru_vars, path_state, x, rows.clone(), split.clone());
+        let x = g.gather_rows(states, &ids);
+        path_state = g.gru_step_rows(&gru_vars, path_state, x, &rows);
         // The post-step hidden state is the message to this position's entity.
         match csr.kinds[s] {
-            EntityKind::Link => {
-                link_acc = g.segment_acc_rows_sharded(link_acc, path_state, rows, ids, split)
-            }
+            EntityKind::Link => link_acc = g.segment_acc_rows(link_acc, path_state, rows, ids),
             EntityKind::Node => {
                 if let Some(acc) = node_acc {
-                    node_acc = Some(g.segment_acc_rows_sharded(acc, path_state, rows, ids, split));
+                    node_acc = Some(g.segment_acc_rows(acc, path_state, rows, ids));
                 }
             }
             EntityKind::Queue => {
                 if let Some(acc) = queue_acc {
-                    queue_acc = Some(g.segment_acc_rows_sharded(acc, path_state, rows, ids, split));
+                    queue_acc = Some(g.segment_acc_rows(acc, path_state, rows, ids));
                 }
             }
         }
@@ -441,25 +409,6 @@ impl PathPredictor for OriginalRouteNet {
         // `constant(clone())` exactly.
         let mut path_state = g.constant_copy(&plan.path_init);
         let mut link_state = g.constant_copy(&plan.link_init);
-        // Dense row partitions for the per-entity GRU update and the
-        // readout: the work the per-sample shards leave sequential fans
-        // across the same worker gang (None on single-sample plans, which
-        // stay on the legacy bitwise path).
-        let zero_copy = g.zero_copy();
-        let dense_link: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_link().map(IndexInput::from)
-            } else {
-                s.dense_link().map(IndexInput::from)
-            }
-        });
-        let dense_path: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_path().map(IndexInput::from)
-            } else {
-                s.dense_path().map(IndexInput::from)
-            }
-        });
         for _ in 0..self.config.mp_iterations {
             let (new_path, link_acc, _, _) = path_sweep(
                 g,
@@ -473,15 +422,11 @@ impl PathPredictor for OriginalRouteNet {
                 plan.num_nodes,
                 0,
                 false,
-                plan.shards.as_ref(),
             );
             path_state = new_path;
-            link_state =
-                bound
-                    .gru_link
-                    .step_fused_sharded(g, link_state, link_acc, dense_link.clone());
+            link_state = bound.gru_link.step_fused(g, link_state, link_acc);
         }
-        bound.readout.forward_sharded(g, path_state, dense_path)
+        bound.readout.forward(g, path_state)
     }
 
     fn forward_unfused(&self, g: &mut Graph, bound: &BoundOriginal, plan: &SamplePlan) -> Var {
@@ -629,29 +574,6 @@ impl PathPredictor for ExtendedRouteNet {
         let mut link_state = g.constant_copy(&plan.link_init);
         let mut node_state = g.constant_copy(&plan.node_init);
         let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        // Dense row partitions — see `OriginalRouteNet::forward`.
-        let zero_copy = g.zero_copy();
-        let dense_link: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_link().map(IndexInput::from)
-            } else {
-                s.dense_link().map(IndexInput::from)
-            }
-        });
-        let dense_node: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_node().map(IndexInput::from)
-            } else {
-                s.dense_node().map(IndexInput::from)
-            }
-        });
-        let dense_path: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_path().map(IndexInput::from)
-            } else {
-                s.dense_path().map(IndexInput::from)
-            }
-        });
         for _ in 0..self.config.mp_iterations {
             let (new_path, link_acc, node_acc, _) = path_sweep(
                 g,
@@ -665,7 +587,6 @@ impl PathPredictor for ExtendedRouteNet {
                 plan.num_nodes,
                 0,
                 positional,
-                plan.shards.as_ref(),
             );
             path_state = new_path;
             let node_input = if positional {
@@ -676,16 +597,10 @@ impl PathPredictor for ExtendedRouteNet {
                 let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
                 g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
             };
-            link_state =
-                bound
-                    .gru_link
-                    .step_fused_sharded(g, link_state, link_acc, dense_link.clone());
-            node_state =
-                bound
-                    .gru_node
-                    .step_fused_sharded(g, node_state, node_input, dense_node.clone());
+            link_state = bound.gru_link.step_fused(g, link_state, link_acc);
+            node_state = bound.gru_node.step_fused(g, node_state, node_input);
         }
-        bound.readout.forward_sharded(g, path_state, dense_path)
+        bound.readout.forward(g, path_state)
     }
 
     fn forward_unfused(&self, g: &mut Graph, bound: &BoundExtended, plan: &SamplePlan) -> Var {
@@ -865,36 +780,6 @@ impl PathPredictor for QosRouteNet {
         // to the extended model's.
         let mut queue_state = (plan.num_queues > 0).then(|| g.constant_copy(&plan.queue_init));
         let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        // Dense row partitions — see `OriginalRouteNet::forward`.
-        let zero_copy = g.zero_copy();
-        let dense_link: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_link().map(IndexInput::from)
-            } else {
-                s.dense_link().map(IndexInput::from)
-            }
-        });
-        let dense_node: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_node().map(IndexInput::from)
-            } else {
-                s.dense_node().map(IndexInput::from)
-            }
-        });
-        let dense_queue: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_queue().map(IndexInput::from)
-            } else {
-                s.dense_queue().map(IndexInput::from)
-            }
-        });
-        let dense_path: Option<IndexInput<'_>> = plan.shards.as_ref().and_then(|s| {
-            if zero_copy {
-                s.shared_dense_path().map(IndexInput::from)
-            } else {
-                s.dense_path().map(IndexInput::from)
-            }
-        });
         for _ in 0..self.config.mp_iterations {
             let (new_path, link_acc, node_acc, queue_acc) = path_sweep(
                 g,
@@ -908,7 +793,6 @@ impl PathPredictor for QosRouteNet {
                 plan.num_nodes,
                 plan.num_queues,
                 positional,
-                plan.shards.as_ref(),
             );
             path_state = new_path;
             let node_input = if positional {
@@ -917,24 +801,13 @@ impl PathPredictor for QosRouteNet {
                 let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
                 g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
             };
-            link_state =
-                bound
-                    .gru_link
-                    .step_fused_sharded(g, link_state, link_acc, dense_link.clone());
-            node_state =
-                bound
-                    .gru_node
-                    .step_fused_sharded(g, node_state, node_input, dense_node.clone());
+            link_state = bound.gru_link.step_fused(g, link_state, link_acc);
+            node_state = bound.gru_node.step_fused(g, node_state, node_input);
             if let (Some(qs), Some(qa)) = (queue_state, queue_acc) {
-                queue_state = Some(bound.gru_queue.step_fused_sharded(
-                    g,
-                    qs,
-                    qa,
-                    dense_queue.clone(),
-                ));
+                queue_state = Some(bound.gru_queue.step_fused(g, qs, qa));
             }
         }
-        bound.readout.forward_sharded(g, path_state, dense_path)
+        bound.readout.forward(g, path_state)
     }
 
     fn forward_unfused(&self, g: &mut Graph, bound: &BoundQos, plan: &SamplePlan) -> Var {

@@ -33,11 +33,11 @@ pub const STAGES: &[&str] = &["compose_wait", "forward", "backward", "optimizer"
 /// inline (cold-start) compose. Near-zero from epoch 2 on — structure
 /// reuse is total.
 pub const COMPOSE_WAIT: usize = 0;
-/// Fused forward pass + loss evaluation, one span per megabatch shard
-/// (per sample on the legacy path).
+/// Fused forward pass + loss evaluation, one span per megabatch (per
+/// sample on the legacy path).
 pub const FORWARD: usize = 1;
-/// Reverse sweep over the tape, one span per megabatch shard (per sample
-/// on the legacy path).
+/// Reverse sweep over the tape, one span per megabatch (per sample on the
+/// legacy path).
 pub const BACKWARD: usize = 2;
 /// Gradient clipping + Adam step, one span per optimizer step.
 pub const OPTIMIZER: usize = 3;

@@ -14,10 +14,14 @@
 //! epochs only permute the order batches are visited in. That means every
 //! megabatch's composed structure ([`crate::compose::ComposedMegabatch`]) is
 //! built exactly once — lazily on first visit, with the *next* batch
-//! composed ahead of time on the worker pool's background lane while the
-//! current batch runs — and epochs ≥ 2 do **zero** structure work per step:
+//! composed ahead of time on a background lane while the current batch
+//! runs — and epochs ≥ 2 do **zero** structure work per step:
 //! the steady-state loop binds straight against cached compositions.
 //! Validation chunks are composed once up front and reused every epoch.
+//!
+//! A batch's megabatches run forward/backward in parallel (`par_iter`), one
+//! pooled tape each, and their gradients are summed in megabatch order, so
+//! trained models are bitwise identical at any thread count.
 //!
 //! The loss of a megabatch is weighted per row so its gradient equals the
 //! mean of per-sample mean losses — the exact semantics of the legacy
@@ -31,14 +35,13 @@ use crate::entities::{MegabatchPlan, SamplePlan};
 use crate::model::PathPredictor;
 use crate::train_trace::{self, TrainTrace};
 use rayon::prelude::*;
-use rayon::WorkerPool;
+use rayon::BackgroundLane;
 use rn_autograd::{Graph, TapePool};
 use rn_dataset::Dataset;
 use rn_nn::loss::Loss;
 use rn_nn::{clip_global_norm, Adam, Optimizer};
 use rn_tensor::{Matrix, Prng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,22 +71,14 @@ pub struct TrainConfig {
     /// Run batches as fused block-diagonal megabatches (the fast default).
     /// `false` restores the per-sample-tape path.
     pub use_megabatch: bool,
-    /// Samples per megabatch shard; a batch is split into
-    /// `ceil(batch_size / megabatch_size)` shards processed in parallel.
-    /// Fixed shard boundaries keep training seed-deterministic regardless
-    /// of worker count.
+    /// Samples per megabatch; a batch is split into
+    /// `ceil(batch_size / megabatch_size)` megabatches processed in
+    /// parallel. Fixed megabatch boundaries keep training seed-deterministic
+    /// regardless of thread count.
     pub megabatch_size: usize,
-    /// Worker threads for the sharded forward/backward *inside* one
-    /// megabatch: the block-diagonal plan's per-sample shards fan out to a
-    /// persistent worker pool, and gradients are reduced in a fixed
-    /// per-sample order, so results are **bitwise identical** for any value
-    /// here (1 runs everything inline). This lever composes with
-    /// `megabatch_size`: megabatches parallelize across the batch, shards
-    /// parallelize within each megabatch.
-    pub backward_shards: usize,
     /// Stream megabatch composition instead of caching it: each batch's
-    /// composed megabatch slices are built one visit ahead on the worker
-    /// pool's background lane, consumed, and **dropped** — nothing is
+    /// composed megabatch slices are built one visit ahead on the
+    /// background lane, consumed, and **dropped** — nothing is
     /// retained across epochs, so peak memory is bounded by two batches'
     /// compositions (current + prefetched) instead of the whole epoch's.
     /// Validation chunks stream the same way. The default (`false`) caches
@@ -117,7 +112,6 @@ impl Default for TrainConfig {
             verbose: false,
             use_megabatch: true,
             megabatch_size: 4,
-            backward_shards: 1,
             stream_compose: false,
             trace_out: None,
         }
@@ -125,13 +119,6 @@ impl Default for TrainConfig {
 }
 
 impl TrainConfig {
-    /// The env var overriding [`TrainConfig::backward_shards`] — the single
-    /// knob CI uses to inject extra shard-worker configurations. Read it
-    /// through [`TrainConfig::env_backward_shards`] (tests, benches) or
-    /// [`TrainConfig::from_env`] (training entry points); ad-hoc
-    /// `std::env::var` reads of this name are how the knob drifts.
-    pub const BACKWARD_SHARDS_ENV: &'static str = "RN_BACKWARD_SHARDS";
-
     /// The env var overriding [`TrainConfig::stream_compose`] — the
     /// memory-bounded composition mode for giant-topology training. Read it
     /// through [`TrainConfig::env_stream_compose`] or
@@ -145,32 +132,12 @@ impl TrainConfig {
     /// the README table, the parser and the docs stay in lockstep.
     pub const ENV_DOCS: &'static [(&'static str, &'static str)] = &[
         (
-            Self::BACKWARD_SHARDS_ENV,
-            "worker threads for the sharded (megabatch-internal) forward/backward; \
-             overrides TrainConfig::backward_shards, bitwise-identical at any value",
-        ),
-        (
             Self::STREAM_COMPOSE_ENV,
             "1/true/on streams megabatch composition (build one batch ahead, consume, drop) \
              instead of caching every composition across epochs; overrides \
              TrainConfig::stream_compose. Bounds training memory to two batches' compositions \
              — for giant topologies — at the cost of recomposing every epoch. Trained models \
              are bitwise identical either way",
-        ),
-        (
-            crate::compose::INTRA_SHARDS_ENV,
-            "intra-sample dense shard count for single-sample compositions (giant topologies): \
-             N > 1 fans the link/node GRU updates and the readout MLP out over N balanced row \
-             blocks while message passing keeps the legacy single-shard schedule; bitwise \
-             identical at any value, disabled when unset",
-        ),
-        (
-            rn_autograd::ZERO_COPY_ENV,
-            "tape index mode, on by default: steps against a cached composition record \
-             Arc-backed views of the composition's index buffers instead of copying every \
-             row/segment list into the tape pool (0/false/off restores the copying mode). \
-             Gradients and trained models are bitwise identical either way; \
-             Graph::index_words_copied counts what each mode actually copies",
         ),
         (
             "RN_TRACE",
@@ -199,21 +166,6 @@ impl TrainConfig {
         ),
     ];
 
-    /// The `RN_BACKWARD_SHARDS` override, if set to a positive integer.
-    /// Malformed or non-positive values are ignored (`None`), never a panic:
-    /// CI environments outlive the code that validates them.
-    pub fn env_backward_shards() -> Option<usize> {
-        Self::parse_backward_shards(std::env::var(Self::BACKWARD_SHARDS_ENV).ok().as_deref())
-    }
-
-    /// Interpret a raw `RN_BACKWARD_SHARDS` value: positive integers apply
-    /// (surrounding whitespace tolerated), everything else is ignored. Pure
-    /// and unit-testable — the tests exercise this instead of mutating
-    /// process-global env state under a multi-threaded test harness.
-    pub fn parse_backward_shards(raw: Option<&str>) -> Option<usize> {
-        raw?.trim().parse::<usize>().ok().filter(|&n| n > 0)
-    }
-
     /// The `RN_STREAM_COMPOSE` override, if set to a recognized boolean.
     pub fn env_stream_compose() -> Option<bool> {
         Self::parse_stream_compose(std::env::var(Self::STREAM_COMPOSE_ENV).ok().as_deref())
@@ -221,8 +173,9 @@ impl TrainConfig {
 
     /// Interpret a raw `RN_STREAM_COMPOSE` value: `1`/`true`/`on` enable,
     /// `0`/`false`/`off` disable (case-insensitive, surrounding whitespace
-    /// tolerated), anything else is ignored. Pure and unit-testable, like
-    /// [`TrainConfig::parse_backward_shards`].
+    /// tolerated), anything else is ignored. Pure and unit-testable: the
+    /// tests exercise this instead of mutating process-global env state
+    /// under a multi-threaded test harness.
     pub fn parse_stream_compose(raw: Option<&str>) -> Option<bool> {
         match raw?.trim().to_ascii_lowercase().as_str() {
             "1" | "true" | "on" => Some(true),
@@ -236,14 +189,10 @@ impl TrainConfig {
         Self::default().with_env_overrides()
     }
 
-    /// Apply env overrides (`RN_BACKWARD_SHARDS`, `RN_STREAM_COMPOSE`,
-    /// `RN_TRACE_TRAIN_OUT`) on
+    /// Apply env overrides (`RN_STREAM_COMPOSE`, `RN_TRACE_TRAIN_OUT`) on
     /// top of an explicitly constructed config. (`RN_TRACE` itself is read
     /// lazily by `rn_trace`, not stored here.)
     pub fn with_env_overrides(mut self) -> Self {
-        if let Some(shards) = Self::env_backward_shards() {
-            self.backward_shards = shards;
-        }
         if let Some(stream) = Self::env_stream_compose() {
             self.stream_compose = stream;
         }
@@ -286,15 +235,10 @@ impl TrainingHistory {
     }
 }
 
-/// Gather the reliable prediction rows for the loss, honoring the tape's
-/// zero-copy mode: an `Arc`-backed view of `reliable_idx` when on, the
-/// legacy pooled copy when off (bitwise-identical either way).
+/// Gather the reliable prediction rows for the loss through an
+/// `Arc`-backed view of `reliable_idx` (no index words copied).
 fn gather_reliable(g: &mut Graph, pred: rn_autograd::Var, plan: &SamplePlan) -> rn_autograd::Var {
-    if g.zero_copy() {
-        g.gather_rows_sharded(pred, plan.reliable_idx_shared().into(), None)
-    } else {
-        g.gather_rows(pred, &plan.reliable_idx)
-    }
+    g.gather_rows(pred, plan.reliable_idx_shared())
 }
 
 /// Forward + loss on one plan; returns `(loss, grads)` or `None` when the
@@ -337,13 +281,13 @@ fn sample_loss<M: PathPredictor>(model: &M, plan: &SamplePlan, loss: Loss) -> Op
     Some(g.value(loss_node).get(0, 0) as f64)
 }
 
-/// One fused forward/backward over a **pre-composed** megabatch shard on a
+/// One fused forward/backward over a **pre-composed** megabatch on a
 /// pooled tape.
 ///
 /// Returns `(sum_of_per_sample_mean_losses, samples_with_labels, grads)`;
 /// the gradients are of `sum_s mean_loss_s / scale`, so with
-/// `scale = reliable samples in the whole batch` the shard gradients of one
-/// batch simply add up to the batch-mean gradient.
+/// `scale = reliable samples in the whole batch` the megabatch gradients of
+/// one batch simply add up to the batch-mean gradient.
 fn megabatch_gradients<M: PathPredictor>(
     model: &M,
     mb: &MegabatchPlan,
@@ -375,6 +319,40 @@ fn megabatch_gradients<M: PathPredictor>(
     g.backward(loss_node);
     bwd.finish();
     Some((sum_of_means, mb.reliable_samples, model.grads(g, &bound)))
+}
+
+/// One optimizer step's gradient over a batch's pre-composed megabatches.
+///
+/// Each megabatch runs forward/backward on its own pooled tape, in parallel
+/// across megabatches; the per-megabatch results are then summed in
+/// megabatch order, so the merged bits do not depend on the thread count.
+/// Returns `(sum_of_per_sample_mean_losses, samples_with_labels, grads)`,
+/// or `None` when no megabatch has labels.
+fn batch_gradients<M: PathPredictor>(
+    model: &M,
+    comps: &[ComposedMegabatch],
+    loss: Loss,
+    labelled: usize,
+    tapes: &TapePool,
+    stages: &rn_trace::StageRecorder,
+) -> Option<(f64, usize, Vec<Matrix>)> {
+    let results: Vec<(f64, usize, Vec<Matrix>)> = comps
+        .par_iter()
+        .filter_map(|c| {
+            let mut tape = tapes.acquire();
+            let out = megabatch_gradients(model, c.megabatch(), loss, labelled, &mut tape, stages);
+            tapes.release(tape);
+            out
+        })
+        .collect();
+    results
+        .into_iter()
+        .reduce(|(loss_acc, count_acc, mut acc), (loss_sum, count, grads)| {
+            for (a, g) in acc.iter_mut().zip(&grads) {
+                a.add_assign(g);
+            }
+            (loss_acc + loss_sum, count_acc + count, acc)
+        })
 }
 
 /// Validation loss of a pre-composed megabatch chunk:
@@ -474,36 +452,12 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
     // every improvement, restore before returning; when the final epoch is
     // itself the best, the restore rewrites identical values.
     let mut best_weights: Option<Vec<Matrix>> = None;
-    // Reusable tapes shared by whichever workers process shards; buffers
-    // survive across batches and epochs.
+    // Reusable tapes shared by whichever threads process megabatches;
+    // buffers survive across batches and epochs.
     let tape_pool = TapePool::new();
-    // The worker pool serves two roles on the megabatch path: its gang runs
-    // the intra-megabatch sharded kernels (engaged on tapes only when
-    // backward_shards > 1), and its background lane is where the prefetch
-    // stage composes upcoming megabatches while the gang is busy.
-    //
-    // Intra-megabatch shard gang: each checked-out tape fans the fused ops'
-    // per-sample shards across these workers. Gradients are identical at
-    // any worker count (ordered per-shard reduction), so this is purely a
-    // throughput lever. With the gang enabled, megabatches are processed
-    // sequentially — intra-batch parallelism *replaces* inter-batch
-    // parallelism. Running both at once would only make every rayon worker
-    // queue on the gang's one-job-at-a-time publisher gate; picking one
-    // axis keeps the cores busy without contention. Chunk results are
-    // folded in the same order either way, so the choice cannot change a
-    // bit of the gradients.
-    let worker_pool: Option<Arc<WorkerPool>> = config
-        .use_megabatch
-        .then(|| Arc::new(WorkerPool::new(config.backward_shards)));
-    let gang: Option<Arc<WorkerPool>> = worker_pool
-        .as_ref()
-        .filter(|_| config.backward_shards > 1)
-        .cloned();
-    let sharded_tape = |pool: &TapePool| {
-        let mut tape = pool.acquire();
-        tape.set_worker_pool(gang.clone());
-        tape
-    };
+    // The prefetch stage composes upcoming megabatches on this lane while
+    // the current batch trains.
+    let lane: Option<BackgroundLane> = config.use_megabatch.then(BackgroundLane::new);
 
     // ---- Batch scheduler (megabatch path) --------------------------------
     // Megabatch membership is fixed ONCE from the seeded shuffle; epochs
@@ -533,7 +487,7 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
     } else {
         (Vec::new(), Vec::new())
     };
-    // One composed megabatch per shard of each batch, built lazily on the
+    // One composed megabatch per `megabatch_size` slice of each batch, built lazily on the
     // first visit and cached for every later epoch. In streaming mode
     // (`config.stream_compose`) this cache stays empty: each batch's
     // compositions are claimed from the prefetch lane (or built inline),
@@ -543,9 +497,9 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
     let compose_batch = |batch: &[usize]| -> Vec<ComposedMegabatch> {
         batch
             .chunks(config.megabatch_size)
-            .map(|shard| {
-                let parts: Vec<&SamplePlan> = shard.iter().map(|&i| &plans[i]).collect();
-                ComposedMegabatch::compose(&parts).expect("train: uniform-width non-empty shard")
+            .map(|slice| {
+                let parts: Vec<&SamplePlan> = slice.iter().map(|&i| &plans[i]).collect();
+                ComposedMegabatch::compose(&parts).expect("train: uniform-width non-empty slice")
             })
             .collect()
     };
@@ -587,8 +541,8 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
             if epoch > 0 {
                 rng.shuffle(&mut visit);
             }
-            // Double-buffered prefetch: while the current batch runs on the
-            // gang, the pool's background lane composes the next batch that
+            // Double-buffered prefetch: while the current batch trains, the
+            // background lane composes the next batch that
             // has no cached structure yet. Only the cold first epoch ever
             // has compose work to hide; the handle drains within the epoch.
             let mut pending: Option<(usize, rayon::Prefetch<'_, Vec<ComposedMegabatch>>)> = None;
@@ -635,7 +589,7 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
                 // labelled successor when streaming (nothing is retained,
                 // so every upcoming batch needs it).
                 if pending.is_none() {
-                    if let Some(pool) = worker_pool.as_deref() {
+                    if let Some(lane) = lane.as_ref() {
                         let next = visit[vi + 1..].iter().copied().find(|&b| {
                             batch_labelled[b] > 0
                                 && (config.stream_compose || composed[b].is_none())
@@ -647,53 +601,23 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
                             // dropped, which blocks) strictly within this
                             // epoch's scope, and is never leaked — the
                             // borrowed plans/batches outlive it.
-                            let task = unsafe { pool.submit(move || compose_batch(&batches[nb])) };
+                            let task = unsafe { lane.submit(move || compose_batch(&batches[nb])) };
                             pending = Some((nb, task));
                         }
                     }
                 }
 
-                let snapshot: &M = model;
                 let comps = streamed
                     .as_ref()
                     .or(composed[bi].as_ref())
                     .expect("composed above");
-                let run_shard = |c: &ComposedMegabatch| {
-                    let mut tape = sharded_tape(&tape_pool);
-                    let out = megabatch_gradients(
-                        snapshot,
-                        c.megabatch(),
-                        config.loss,
-                        labelled,
-                        &mut tape,
-                        stages,
-                    );
-                    tape_pool.release(tape);
-                    out
-                };
-                let results: Vec<(f64, usize, Vec<Matrix>)> = if gang.is_some() {
-                    comps.iter().filter_map(run_shard).collect()
-                } else {
-                    comps.par_iter().filter_map(run_shard).collect()
-                };
-                let mut loss_sum = 0.0;
-                let mut count = 0usize;
-                let mut grads: Option<Vec<Matrix>> = None;
-                for (sum_of_means, samples, shard_grads) in results {
-                    loss_sum += sum_of_means;
-                    count += samples;
-                    match &mut grads {
-                        None => grads = Some(shard_grads),
-                        Some(acc) => {
-                            for (a, g) in acc.iter_mut().zip(&shard_grads) {
-                                a.add_assign(g);
-                            }
-                        }
-                    }
-                }
-                // Shard gradients are already scaled by 1/labelled; their
+                // Megabatch gradients are already scaled by 1/labelled; their
                 // sum is the batch-mean gradient.
-                let Some(mut grads) = grads else { continue };
+                let Some((loss_sum, count, mut grads)) =
+                    batch_gradients(&*model, comps, config.loss, labelled, &tape_pool, stages)
+                else {
+                    continue;
+                };
                 epoch_loss_sum += loss_sum;
                 epoch_loss_count += count;
                 let _opt_span = stages.span(train_trace::OPTIMIZER);
@@ -754,7 +678,7 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
             let _eval_span = stages.span(train_trace::EVAL);
             let snapshot: &M = model;
             let run_val_chunk = |c: &ComposedMegabatch| {
-                let mut tape = sharded_tape(&tape_pool);
+                let mut tape = tape_pool.acquire();
                 let out = megabatch_loss(snapshot, c.megabatch(), config.loss, &mut tape);
                 tape_pool.release(tape);
                 out
@@ -763,24 +687,10 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
                 // Streaming: compose each validation chunk, evaluate it,
                 // drop it — resident memory is one chunk per evaluating
                 // thread instead of the whole validation set.
-                if gang.is_some() {
-                    val_plans
-                        .chunks(config.megabatch_size)
-                        .map(|chunk| run_val_chunk(&compose_val_chunk(chunk)))
-                        .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-                } else {
-                    val_plans
-                        .par_chunks(config.megabatch_size)
-                        .map(|chunk| run_val_chunk(&compose_val_chunk(chunk)))
-                        .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-                }
-            } else if config.use_megabatch && gang.is_some() {
-                // Same axis choice as training: the gang parallelizes inside
-                // each chunk, so chunks run one after another.
-                val_composed
-                    .iter()
-                    .map(run_val_chunk)
-                    .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+                val_plans
+                    .par_chunks(config.megabatch_size)
+                    .map(|chunk| run_val_chunk(&compose_val_chunk(chunk)))
+                    .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
             } else if config.use_megabatch {
                 val_composed
                     .par_iter()
@@ -1053,7 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn megabatch_sharding_is_deterministic() {
+    fn megabatch_training_is_deterministic() {
         let ds = toy_dataset(6, 58);
         let make = |megabatch_size: usize| {
             let mut model = ExtendedRouteNet::new(ModelConfig {
@@ -1068,7 +978,7 @@ mod tests {
             train(&mut model, &ds, None, &config);
             model
         };
-        // Same shard size twice -> bitwise identical models.
+        // Same megabatch size twice -> bitwise identical models.
         let a = make(3);
         let b = make(3);
         let plan = a.plan(&ds.samples[0]);
@@ -1077,32 +987,10 @@ mod tests {
 
     #[test]
     fn env_override_is_centralized_and_validated() {
-        // The one place RN_BACKWARD_SHARDS is interpreted. The parser is
+        // The one place RN_STREAM_COMPOSE is interpreted. The parser is
         // pure, so it tests without `set_var` (mutating process-global env
         // under the multi-threaded test harness races other threads'
-        // getenv calls).
-        assert_eq!(TrainConfig::BACKWARD_SHARDS_ENV, "RN_BACKWARD_SHARDS");
-        assert_eq!(TrainConfig::parse_backward_shards(None), None, "unset");
-        assert_eq!(TrainConfig::parse_backward_shards(Some("4")), Some(4));
-        assert_eq!(
-            TrainConfig::parse_backward_shards(Some(" 8 ")),
-            Some(8),
-            "whitespace tolerated"
-        );
-        assert_eq!(
-            TrainConfig::parse_backward_shards(Some("0")),
-            None,
-            "non-positive ignored"
-        );
-        assert_eq!(
-            TrainConfig::parse_backward_shards(Some("lots")),
-            None,
-            "garbage ignored"
-        );
-        assert_eq!(TrainConfig::parse_backward_shards(Some("")), None);
-        assert_eq!(TrainConfig::parse_backward_shards(Some("-2")), None);
-
-        // RN_STREAM_COMPOSE: recognized booleans apply, anything else is
+        // getenv calls). Recognized booleans apply, anything else is
         // ignored.
         assert_eq!(TrainConfig::STREAM_COMPOSE_ENV, "RN_STREAM_COMPOSE");
         assert_eq!(TrainConfig::parse_stream_compose(None), None, "unset");
@@ -1130,25 +1018,83 @@ mod tests {
             TrainConfig::env_stream_compose().unwrap_or(TrainConfig::default().stream_compose)
         );
 
-        // The live lookup and the override plumbing agree with the parser
-        // on whatever the ambient environment actually holds.
-        let ambient = std::env::var(TrainConfig::BACKWARD_SHARDS_ENV).ok();
-        let expected = TrainConfig::parse_backward_shards(ambient.as_deref());
-        assert_eq!(TrainConfig::env_backward_shards(), expected);
-        assert_eq!(
-            TrainConfig::from_env().backward_shards,
-            expected.unwrap_or(TrainConfig::default().backward_shards)
-        );
         let explicit = TrainConfig {
-            backward_shards: 2,
+            stream_compose: true,
             ..TrainConfig::default()
         }
         .with_env_overrides();
         assert_eq!(
-            explicit.backward_shards,
-            expected.unwrap_or(2),
+            explicit.stream_compose,
+            TrainConfig::env_stream_compose().unwrap_or(true),
             "env wins over explicit when set"
         );
+    }
+
+    #[test]
+    fn batch_gradient_is_the_in_order_fold_of_megabatch_gradients() {
+        // One step's merged gradient (megabatches run in parallel) must be
+        // bit for bit the sequential fold of the per-megabatch gradients in
+        // megabatch order — what makes training thread-count independent.
+        let ds = toy_dataset(6, 61);
+        let mut model = ExtendedRouteNet::new(ModelConfig {
+            state_dim: 8,
+            mp_iterations: 2,
+            readout_hidden: 8,
+            seed: 9,
+            ..ModelConfig::default()
+        });
+        model.fit_preprocessing(&ds, 1);
+        let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
+        let comps: Vec<ComposedMegabatch> = plans
+            .chunks(2)
+            .map(|chunk| ComposedMegabatch::compose(&chunk.iter().collect::<Vec<_>>()).unwrap())
+            .collect();
+        let labelled = plans.iter().filter(|p| !p.reliable_idx.is_empty()).count();
+        let stages = rn_trace::StageRecorder::new(train_trace::STAGES);
+
+        let (loss, count, grads) = batch_gradients(
+            &model,
+            &comps,
+            Loss::Mse,
+            labelled,
+            &TapePool::new(),
+            &stages,
+        )
+        .expect("labelled batch");
+
+        let mut seq_loss = 0.0;
+        let mut seq_count = 0;
+        let mut seq_grads: Option<Vec<Matrix>> = None;
+        for c in &comps {
+            let mut g = Graph::new();
+            let Some((l, n, mb_grads)) =
+                megabatch_gradients(&model, c.megabatch(), Loss::Mse, labelled, &mut g, &stages)
+            else {
+                continue;
+            };
+            seq_loss += l;
+            seq_count += n;
+            match &mut seq_grads {
+                None => seq_grads = Some(mb_grads),
+                Some(acc) => {
+                    for (a, g) in acc.iter_mut().zip(&mb_grads) {
+                        a.add_assign(g);
+                    }
+                }
+            }
+        }
+        let seq_grads = seq_grads.expect("labelled batch");
+        assert_eq!(loss.to_bits(), seq_loss.to_bits());
+        assert_eq!(count, seq_count);
+        assert_eq!(grads.len(), seq_grads.len());
+        for (i, (a, b)) in grads.iter().zip(&seq_grads).enumerate() {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(a),
+                bits(b),
+                "gradient {i} differs from the in-order fold"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! per call.
 
 use crate::{init, Layer};
-use rn_autograd::{Graph, GruVars, IndexInput, Var};
+use rn_autograd::{Graph, GruVars, Var};
 use rn_tensor::{Matrix, Prng};
 use serde::{Deserialize, Serialize};
 
@@ -118,22 +118,6 @@ impl BoundGruCell {
     /// but ~17x fewer tape nodes — this is the training hot path.
     pub fn step_fused(&self, g: &mut Graph, h: Var, x: Var) -> Var {
         g.gru_step(&self.vars(), h, x, None)
-    }
-
-    /// [`BoundGruCell::step_fused`] with a dense row-block shard layout —
-    /// the megabatch link/node entity updates. `bounds` partitions the state
-    /// rows; forward blocks and backward adjoints (including the dense GRU
-    /// weight-gradient matmuls) fan across the tape's worker pool with
-    /// bitwise-identical results at any worker count. `None` is exactly the
-    /// legacy fused step.
-    pub fn step_fused_sharded(
-        &self,
-        g: &mut Graph,
-        h: Var,
-        x: Var,
-        bounds: Option<IndexInput<'_>>,
-    ) -> Var {
-        g.gru_step_dense_sharded(&self.vars(), h, x, bounds)
     }
 
     /// Fused masked step: rows with `mask == 0` keep their previous state.

@@ -6,9 +6,6 @@
 //! replaced on disk is either the old or the new model, never a torn one.
 
 use crate::sync::{read_recover, write_recover};
-use routenet::persist;
-use serde::de::DeserializeOwned;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -49,15 +46,6 @@ impl<M> ModelRegistry<M> {
         let mut guard = write_recover(&self.slot);
         *guard = Arc::new(model);
         self.version.fetch_add(1, Ordering::AcqRel) + 1
-    }
-}
-
-impl<M: DeserializeOwned> ModelRegistry<M> {
-    /// Load a model from a JSON file (see [`persist::load_model`]) and swap
-    /// it in; returns the new version.
-    pub fn load_and_swap(&self, path: &Path) -> Result<u64, String> {
-        let model: M = persist::load_model(path)?;
-        Ok(self.swap(model))
     }
 }
 

@@ -5,6 +5,7 @@
 use rn_dataset::{generate, Dataset, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
+use rn_nn::Layer;
 use rn_serve::loadgen::Client;
 use rn_serve::{Request, Response, ServeConfig, ServeError, Service, TcpServer};
 use routenet::model::PathPredictor;
@@ -571,55 +572,56 @@ fn composition_cache_survives_hot_swap_with_refilled_features() {
 }
 
 #[test]
-fn intra_batch_sharding_keeps_served_bits_identical() {
-    // With a shard gang enabled, a worker that flushes a multi-request
-    // batch against an empty queue fans the fused forward out across
-    // threads — and must still produce exactly the bits of a direct
-    // predict_batch.
-    let ds = toy_dataset(4, 21);
-    let model = fitted_model(&ds, 3);
-    let plans: Vec<Arc<SamplePlan>> = ds.samples.iter().map(|s| Arc::new(model.plan(s))).collect();
-    let owned: Vec<SamplePlan> = plans.iter().map(|p| (**p).clone()).collect();
-    let reference: Vec<Vec<u64>> = model
-        .predict_batch(&owned)
-        .iter()
-        .map(|v| bits(v))
-        .collect();
-
+fn hot_swap_refuses_non_finite_weights_and_keeps_serving() {
+    let ds = toy_dataset(2, 31);
+    let model = fitted_model(&ds, 1);
+    let plan = Arc::new(model.plan(&ds.samples[0]));
     let service = Service::start(
         model,
         ServeConfig {
             workers: 1,
-            max_batch: 4,
-            // Give the lone worker time to see all four requests at once, so
-            // shallow-queue batches actually form and the gang engages.
-            flush_deadline: Duration::from_millis(25),
-            intra_batch_shards: 3,
             ..ServeConfig::default()
         },
     );
     let handle = service.handle();
-    for _round in 0..8 {
-        std::thread::scope(|s| {
-            let results: Vec<_> = plans
-                .iter()
-                .map(|plan| {
-                    let handle = handle.clone();
-                    let plan = Arc::clone(plan);
-                    s.spawn(move || handle.predict_plan(plan).expect("prediction"))
-                })
-                .collect();
-            for (b, join) in results.into_iter().enumerate() {
-                let served = join.join().expect("client thread");
-                assert_eq!(
-                    bits(&served),
-                    reference[b],
-                    "sharded serving changed bits for sample {b}"
-                );
-            }
-        });
+    let before = handle.predict_plan(Arc::clone(&plan)).expect("prediction");
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("rn_serve_{}_{name}.json", std::process::id()))
+    };
+    let mut candidate = fitted_model(&ds, 2);
+
+    // A NaN weight: the saved file cannot even be read back as a model.
+    candidate.params_mut()[3].as_mut_slice()[0] = f32::NAN;
+    let nan_path = tmp("nan");
+    routenet::persist::save_model(&candidate, &nan_path).expect("save");
+    assert!(handle.load_and_swap(&nan_path).is_err());
+
+    // A weight that parses as a number but overflows f32 to infinity.
+    candidate.params_mut()[3].as_mut_slice()[0] = 12345.5;
+    let inf_path = tmp("inf");
+    routenet::persist::save_model(&candidate, &inf_path).expect("save");
+    let json = std::fs::read_to_string(&inf_path).expect("read back");
+    assert_eq!(
+        json.matches("12345.5").count(),
+        1,
+        "sentinel must be unique"
+    );
+    std::fs::write(&inf_path, json.replace("12345.5", "1e39")).expect("rewrite");
+    let err = handle
+        .load_and_swap(&inf_path)
+        .expect_err("an infinite weight must be refused");
+    assert!(
+        err.contains("parameter 3"),
+        "error must name the parameter: {err}"
+    );
+
+    // Neither attempt swapped: same version, no swap counted, same bits.
+    assert_eq!(handle.model_version(), 1);
+    assert_eq!(handle.metrics().model_swaps, 0);
+    let after = handle.predict_plan(Arc::clone(&plan)).expect("prediction");
+    assert_eq!(bits(&before), bits(&after));
+    for path in [nan_path, inf_path] {
+        std::fs::remove_file(path).ok();
     }
-    let snapshot = handle.metrics();
-    assert_eq!(snapshot.completed, 8 * plans.len() as u64);
     service.shutdown();
 }

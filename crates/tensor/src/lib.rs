@@ -33,6 +33,6 @@ pub mod rng;
 pub mod simd;
 pub mod stats;
 
-pub use matrix::{kernels, Matrix};
+pub use matrix::Matrix;
 pub use rng::Prng;
 pub use stats::{empirical_cdf, percentile, Summary};

@@ -2,12 +2,12 @@
 //!
 //! The contract under test: a cached [`ComposedMegabatch`] whose features
 //! were **refilled** for a new batch is bitwise identical to a fresh
-//! `build_megabatch` over that batch — predictions AND gradients, at any
-//! shard-worker count, and across model hot-swaps (same structure, new
+//! `build_megabatch` over that batch — predictions AND gradients, across
+//! training epochs and across model hot-swaps (same structure, new
 //! preprocessing). Structure reuse must be invisible to the numerics; only
 //! the planning cost may change.
 
-use rn_autograd::{Graph, WorkerPool};
+use rn_autograd::Graph;
 use rn_dataset::{generate, Dataset, GeneratorConfig, Sample};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
@@ -17,7 +17,6 @@ use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
-use std::sync::Arc;
 
 fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
     let gen_config = GeneratorConfig {
@@ -63,22 +62,37 @@ fn perturb_features(samples: &[Sample]) -> Vec<Sample> {
     out
 }
 
-/// One fused forward + backward on the megabatch with the given worker
-/// pool; returns the loss bits and every parameter gradient.
-fn megabatch_step(
+/// One fused forward + backward on the megabatch; returns the loss bits and
+/// every parameter gradient.
+fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> (u32, Vec<Matrix>) {
+    let (loss, grads, _) = counted_step(model, mb, false);
+    (loss, grads)
+}
+
+/// [`megabatch_step`] with the loss gather borrowing a shared view of the
+/// reliable rows (or copying them); also returns how many index words the
+/// tape copied while recording.
+fn counted_step(
     model: &ExtendedRouteNet,
     mb: &MegabatchPlan,
-    pool: Option<Arc<WorkerPool>>,
-) -> (u32, Vec<Matrix>) {
+    shared_loss_rows: bool,
+) -> (u32, Vec<Matrix>, u64) {
     let mut g = Graph::new();
-    g.set_worker_pool(pool);
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, &mb.plan);
-    let reliable = g.gather_rows(pred, &mb.plan.reliable_idx);
+    let reliable = if shared_loss_rows {
+        g.gather_rows(pred, mb.plan.reliable_idx_shared())
+    } else {
+        g.gather_rows(pred, &mb.plan.reliable_idx)
+    };
     let target = g.constant(mb.plan.reliable_targets_norm());
     let loss = g.mse(reliable, target);
     g.backward(loss);
-    (g.value(loss).get(0, 0).to_bits(), model.grads(&g, &bound))
+    (
+        g.value(loss).get(0, 0).to_bits(),
+        model.grads(&g, &bound),
+        g.index_words_copied(),
+    )
 }
 
 fn prediction_bits(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> Vec<Vec<u64>> {
@@ -91,7 +105,7 @@ fn prediction_bits(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> Vec<Vec<u64>
 }
 
 #[test]
-fn cached_refill_is_bitwise_identical_to_fresh_build_across_shards() {
+fn cached_refill_is_bitwise_identical_to_fresh_build() {
     let ds_a = nsfnet_dataset(4, 20_260_729);
     let model = fitted_model(&ds_a, 11);
     let plans_a: Vec<SamplePlan> = ds_a.samples.iter().map(|s| model.plan(s)).collect();
@@ -122,34 +136,13 @@ fn cached_refill_is_bitwise_identical_to_fresh_build_across_shards() {
         "refilled composition changed prediction bits"
     );
 
-    // Gradients: bitwise, at every shard-worker count (inline, 1, 2, 4 —
-    // plus whatever CI injects through the centralized env override).
-    let mut worker_counts: Vec<Option<usize>> = vec![None, Some(1), Some(2), Some(4)];
-    if let Some(extra) = routenet::TrainConfig::env_backward_shards() {
-        if !worker_counts.contains(&Some(extra)) {
-            worker_counts.push(Some(extra));
-        }
-    }
-    let (loss_ref, grads_ref) = megabatch_step(&model, &fresh_b, None);
-    for workers in worker_counts {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_fresh, grads_fresh) = megabatch_step(&model, &fresh_b, pool.clone());
-        let (loss_cached, grads_cached) = megabatch_step(&model, composed.megabatch(), pool);
-        assert_eq!(
-            loss_fresh, loss_cached,
-            "loss bits diverged at {workers:?} workers"
-        );
-        assert_eq!(loss_ref, loss_cached, "loss bits diverged from inline");
-        assert_eq!(grads_fresh.len(), grads_cached.len());
-        for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
-            assert!(
-                a.approx_eq(b, 0.0),
-                "gradient {i} diverged at {workers:?} workers"
-            );
-        }
-        for (i, (a, b)) in grads_ref.iter().zip(&grads_cached).enumerate() {
-            assert!(a.approx_eq(b, 0.0), "gradient {i} diverged from inline");
-        }
+    // Gradients: bitwise across the refill.
+    let (loss_fresh, grads_fresh) = megabatch_step(&model, &fresh_b);
+    let (loss_cached, grads_cached) = megabatch_step(&model, composed.megabatch());
+    assert_eq!(loss_fresh, loss_cached, "loss bits diverged");
+    assert_eq!(grads_fresh.len(), grads_cached.len());
+    for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
+        assert!(a.approx_eq(b, 0.0), "gradient {i} diverged");
     }
 
     // Round-trip: refilling back to batch A reproduces a fresh A bitwise.
@@ -193,8 +186,8 @@ fn cached_refill_is_bitwise_identical_across_hot_swapped_models() {
         prediction_bits(&model_v2, &fresh_v2),
         "post-swap refill changed prediction bits"
     );
-    let (loss_fresh, grads_fresh) = megabatch_step(&model_v2, &fresh_v2, None);
-    let (loss_cached, grads_cached) = megabatch_step(&model_v2, composed.megabatch(), None);
+    let (loss_fresh, grads_fresh) = megabatch_step(&model_v2, &fresh_v2);
+    let (loss_cached, grads_cached) = megabatch_step(&model_v2, composed.megabatch());
     assert_eq!(loss_fresh, loss_cached);
     for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
         assert!(a.approx_eq(b, 0.0), "post-swap gradient {i} diverged");
@@ -202,34 +195,34 @@ fn cached_refill_is_bitwise_identical_across_hot_swapped_models() {
 }
 
 #[test]
-fn trainer_epochs_reuse_compositions_bitwise_across_shard_counts() {
+fn trainer_epochs_reuse_compositions_bitwise_across_runs() {
     // End-to-end through the batch scheduler: multi-epoch training (epochs
-    // >= 2 replay cached compositions; epoch visit order permutes) must
-    // stay bitwise identical across backward_shards — the composition layer
-    // cannot introduce worker-count dependence.
+    // >= 2 replay cached compositions; epoch visit order permutes; each
+    // batch's megabatches run on whichever threads pick them up) must
+    // reproduce itself bit for bit — neither the composition layer nor the
+    // thread schedule may leak into the numerics.
     use routenet::trainer::{train, TrainConfig};
     let ds = nsfnet_dataset(6, 775);
-    let run = |backward_shards: usize| {
+    let run = || {
         let mut model = fitted_model(&ds, 5);
         let config = TrainConfig {
             epochs: 3,
             batch_size: 4,
             megabatch_size: 2,
-            backward_shards,
             ..TrainConfig::default()
         };
         let history = train(&mut model, &ds, Some(&ds), &config);
         (history.final_train_loss(), history.val_loss.clone(), model)
     };
-    let (loss_1, val_1, model_1) = run(1);
-    let (loss_4, val_4, model_4) = run(4);
-    assert_eq!(loss_1, loss_4, "epoch losses must match exactly");
-    assert_eq!(val_1, val_4, "validation losses must match exactly");
+    let (loss_1, val_1, model_1) = run();
+    let (loss_2, val_2, model_2) = run();
+    assert_eq!(loss_1, loss_2, "epoch losses must match exactly");
+    assert_eq!(val_1, val_2, "validation losses must match exactly");
     let plan = model_1.plan(&ds.samples[0]);
     assert_eq!(
         model_1.predict(&plan),
-        model_4.predict(&plan),
-        "trained weights must be bitwise identical across shard counts"
+        model_2.predict(&plan),
+        "trained weights must be bitwise identical across runs"
     );
 }
 
@@ -241,40 +234,31 @@ fn streaming_composition_trains_bitwise_identical_to_cached() {
     // contract: composition is a pure function of the plans and slices are
     // folded in the same fixed order either way, so streamed training is
     // bitwise identical to cached training — train/val losses AND trained
-    // weights — at every worker count.
+    // weights.
     use routenet::trainer::{train, TrainConfig};
     let ds = nsfnet_dataset(6, 776);
-    let run = |stream_compose: bool, backward_shards: usize| {
+    let run = |stream_compose: bool| {
         let mut model = fitted_model(&ds, 6);
         let config = TrainConfig {
             epochs: 3,
             batch_size: 4,
             megabatch_size: 2,
-            backward_shards,
             stream_compose,
             ..TrainConfig::default()
         };
         let history = train(&mut model, &ds, Some(&ds), &config);
         (history.train_loss.clone(), history.val_loss.clone(), model)
     };
-    let (train_cached, val_cached, model_cached) = run(false, 1);
-    for workers in [1usize, 4] {
-        let (train_s, val_s, model_s) = run(true, workers);
-        assert_eq!(
-            train_cached, train_s,
-            "streamed train losses diverged at {workers} workers"
-        );
-        assert_eq!(
-            val_cached, val_s,
-            "streamed val losses diverged at {workers} workers"
-        );
-        let plan = model_cached.plan(&ds.samples[0]);
-        assert_eq!(
-            model_cached.predict(&plan),
-            model_s.predict(&plan),
-            "streamed weights diverged at {workers} workers"
-        );
-    }
+    let (train_cached, val_cached, model_cached) = run(false);
+    let (train_s, val_s, model_s) = run(true);
+    assert_eq!(train_cached, train_s, "streamed train losses diverged");
+    assert_eq!(val_cached, val_s, "streamed val losses diverged");
+    let plan = model_cached.plan(&ds.samples[0]);
+    assert_eq!(
+        model_cached.predict(&plan),
+        model_s.predict(&plan),
+        "streamed weights diverged"
+    );
 }
 
 #[test]
@@ -289,15 +273,15 @@ fn streaming_composition_slices_match_whole_batch_compose() {
     let megabatch_size = 2;
     let whole: Vec<MegabatchPlan> = plans
         .chunks(megabatch_size)
-        .map(|shard| {
-            let parts: Vec<&SamplePlan> = shard.iter().collect();
+        .map(|slice| {
+            let parts: Vec<&SamplePlan> = slice.iter().collect();
             ComposedMegabatch::compose(&parts).unwrap().into_plan()
         })
         .collect();
     // Streamed: recompose each slice independently (as a later epoch of the
     // streaming trainer does) and compare bit for bit, forward included.
-    for (si, shard) in plans.chunks(megabatch_size).enumerate() {
-        let parts: Vec<&SamplePlan> = shard.iter().collect();
+    for (si, slice) in plans.chunks(megabatch_size).enumerate() {
+        let parts: Vec<&SamplePlan> = slice.iter().collect();
         let streamed = ComposedMegabatch::compose(&parts).unwrap();
         assert_eq!(
             prediction_bits(&model, &whole[si]),
@@ -316,43 +300,13 @@ fn streaming_composition_slices_match_whole_batch_compose() {
     }
 }
 
-/// One fused training step with the tape's zero-copy mode pinned on or
-/// off; returns the loss bits, parameter gradients, and how many index
-/// words the tape copied while recording.
-fn megabatch_step_pinned(
-    model: &ExtendedRouteNet,
-    mb: &MegabatchPlan,
-    pool: Option<Arc<WorkerPool>>,
-    zero_copy: bool,
-) -> (u32, Vec<Matrix>, u64) {
-    let mut g = Graph::new();
-    g.set_zero_copy(zero_copy);
-    g.set_worker_pool(pool);
-    let bound = model.bind(&mut g);
-    let pred = model.forward(&mut g, &bound, &mb.plan);
-    let reliable = if zero_copy {
-        g.gather_rows_sharded(pred, mb.plan.reliable_idx_shared().into(), None)
-    } else {
-        g.gather_rows(pred, &mb.plan.reliable_idx)
-    };
-    let target = g.constant(mb.plan.reliable_targets_norm());
-    let loss = g.mse(reliable, target);
-    g.backward(loss);
-    (
-        g.value(loss).get(0, 0).to_bits(),
-        model.grads(&g, &bound),
-        g.index_words_copied(),
-    )
-}
-
 #[test]
 fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
-    // The zero-copy tape mode binds Arc-backed views of the cached
-    // composition's index buffers instead of pooled copies. Two contracts:
-    // (1) a full training step against a cached composition copies ZERO
-    // index words — every gather/scatter/shard list is a refcount bump —
-    // and (2) loss bits and every parameter gradient are bitwise identical
-    // to the copying mode, at every worker count.
+    // Steps against a cached composition bind Arc-backed views of its
+    // index buffers instead of pooled copies. Two contracts: (1) a full
+    // training step copies ZERO index words — every gather/scatter list is
+    // a refcount bump — and (2) loss bits and every parameter gradient are
+    // bitwise identical to a step whose loss gather copies its rows.
     let ds = nsfnet_dataset(4, 20_260_809);
     let model = fitted_model(&ds, 13);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
@@ -360,29 +314,20 @@ fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
     let composed = ComposedMegabatch::compose(&parts).expect("compose");
     let mb = composed.megabatch();
 
-    let (loss_off, grads_off, copied_off) = megabatch_step_pinned(&model, mb, None, false);
-    assert!(
-        copied_off > 0,
-        "the copying mode must actually count per-step index traffic"
+    let (loss_copied, grads_copied, words_copied) = counted_step(&model, mb, false);
+    assert_eq!(
+        words_copied,
+        mb.plan.reliable_idx.len() as u64,
+        "only the copied loss gather may count index traffic"
     );
-
-    for workers in [None, Some(1), Some(2), Some(4)] {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_on, grads_on, copied_on) = megabatch_step_pinned(&model, mb, pool, true);
-        assert_eq!(
-            copied_on, 0,
-            "zero-copy step copied index words at {workers:?} workers"
-        );
-        assert_eq!(
-            loss_off, loss_on,
-            "loss bits diverged from copying mode at {workers:?} workers"
-        );
-        assert_eq!(grads_off.len(), grads_on.len());
-        for (i, (a, b)) in grads_off.iter().zip(&grads_on).enumerate() {
-            assert!(
-                a.approx_eq(b, 0.0),
-                "gradient {i} diverged from copying mode at {workers:?} workers"
-            );
-        }
+    let (loss_shared, grads_shared, words_shared) = counted_step(&model, mb, true);
+    assert_eq!(
+        words_shared, 0,
+        "a cached-composition step copied index words"
+    );
+    assert_eq!(loss_copied, loss_shared, "loss bits diverged");
+    assert_eq!(grads_copied.len(), grads_shared.len());
+    for (i, (a, b)) in grads_copied.iter().zip(&grads_shared).enumerate() {
+        assert!(a.approx_eq(b, 0.0), "gradient {i} diverged");
     }
 }

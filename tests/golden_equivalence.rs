@@ -18,6 +18,8 @@ use rn_dataset::{generate, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_nn::Layer;
+use rn_tensor::Matrix;
+use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
 use std::path::PathBuf;
@@ -160,4 +162,109 @@ fn prediction_is_deterministic_within_build() {
     let a = model.predict(&plan);
     let b = model.predict(&plan);
     assert_eq!(a, b, "same plan, same build must give bitwise-equal output");
+}
+
+/// Fixed-seed NSFNET scenario batch — the topology family the paper (and
+/// the training bench) uses.
+fn nsfnet_setup(batch: usize) -> (ExtendedRouteNet, Vec<SamplePlan>) {
+    let gen_config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 30.0,
+            warmup_s: 5.0,
+            ..SimConfig::default()
+        },
+        ..GeneratorConfig::default()
+    };
+    let ds = generate(
+        &topologies::nsfnet_default(),
+        &gen_config,
+        20_260_729,
+        batch,
+    );
+    let mut model = ExtendedRouteNet::new(ModelConfig {
+        state_dim: 16,
+        mp_iterations: 3,
+        readout_hidden: 16,
+        seed: 11,
+        ..ModelConfig::default()
+    });
+    model.fit_preprocessing(&ds, 5);
+    let plans = ds.samples.iter().map(|s| model.plan(s)).collect();
+    (model, plans)
+}
+
+/// One fused forward + backward over the megabatch on `g` (reset first);
+/// returns the loss bits and every parameter gradient.
+fn megabatch_step(
+    g: &mut Graph,
+    model: &ExtendedRouteNet,
+    mb: &MegabatchPlan,
+) -> (u32, Vec<Matrix>) {
+    g.reset();
+    let bound = model.bind(g);
+    let pred = model.forward(g, &bound, &mb.plan);
+    let reliable = g.gather_rows(pred, &mb.plan.reliable_idx);
+    let target = g.constant(mb.plan.reliable_targets_norm());
+    let loss = g.mse(reliable, target);
+    g.backward(loss);
+    (g.value(loss).get(0, 0).to_bits(), model.grads(g, &bound))
+}
+
+#[test]
+fn megabatch_backward_is_reuse_stable_on_a_pooled_tape() {
+    // A reused tape (pooled buffers and fused-op scratch recycled) must
+    // reproduce the fresh tape's megabatch gradients bit for bit.
+    let (model, plans) = nsfnet_setup(4);
+    let parts: Vec<&SamplePlan> = plans.iter().collect();
+    let mb = build_megabatch(&parts);
+    let (loss_fresh, grads_fresh) = megabatch_step(&mut Graph::new(), &model, &mb);
+    assert!(f32::from_bits(loss_fresh).is_finite());
+
+    let mut g = Graph::new();
+    for round in 0..3 {
+        let (loss, grads) = megabatch_step(&mut g, &model, &mb);
+        assert_eq!(loss_fresh, loss, "round {round} loss diverged");
+        for (i, (a, b)) in grads_fresh.iter().zip(&grads).enumerate() {
+            assert!(a.approx_eq(b, 0.0), "round {round} grad {i} diverged");
+        }
+    }
+}
+
+#[test]
+fn inplace_inference_is_bitwise_identical_to_copying_forward() {
+    let (model, plans) = nsfnet_setup(4);
+    let parts: Vec<&SamplePlan> = plans.iter().collect();
+    let mb = build_megabatch(&parts);
+    let (_, normalizer) = model.preprocessing();
+
+    // Copying (training-mode) forward: states are copied each step.
+    let copying: Vec<f64> = {
+        let mut g = Graph::new();
+        let bound = model.bind(&mut g);
+        let pred = model.forward(&mut g, &bound, &mb.plan);
+        g.value(pred)
+            .as_slice()
+            .iter()
+            .map(|&v| normalizer.denormalize(v as f64))
+            .collect()
+    };
+
+    // In-place (inference-mode) forward: states and accumulators are
+    // advanced in the input buffers — megabatched and per-sample.
+    let batched = model.predict_batch(&plans);
+    let flat: Vec<f64> = batched.iter().flatten().copied().collect();
+    assert_eq!(copying, flat, "in-place megabatch inference changed bits");
+
+    // Per-sample in-place inference: a reused (pooled) tape must reproduce
+    // a fresh tape bit for bit, and stay within float round-off of the
+    // megabatched answer.
+    let mut tape = Graph::new();
+    for (b, plan) in plans.iter().enumerate() {
+        let single = model.predict_with(&mut tape, plan);
+        assert_eq!(single, model.predict(plan), "sample {b}: tape-reuse drift");
+        for (x, y) in batched[b].iter().zip(&single) {
+            let rel = (x - y).abs() / y.abs().max(1e-12);
+            assert!(rel < 1e-5, "sample {b}: batched {x} vs single {y}");
+        }
+    }
 }

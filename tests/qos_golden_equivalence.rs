@@ -3,12 +3,12 @@
 //! The contract under test: FIFO-only scenarios — legacy samples, or QoS
 //! samples whose spec degenerates to one class scheduled FIFO — run through
 //! the queue-aware compose path produce **bitwise identical** predictions
-//! AND gradients to the two-entity [`ExtendedRouteNet`], at every
-//! shard-worker count and in both tape index modes (zero-copy on/off). The
-//! queue entity must be invisible until a scenario actually schedules
-//! classes.
+//! AND gradients to the two-entity [`ExtendedRouteNet`], on any number of
+//! concurrent threads and whether the loss gather copies its index list or
+//! borrows a shared view. The queue entity must be invisible until a
+//! scenario actually schedules classes.
 
-use rn_autograd::{Graph, WorkerPool};
+use rn_autograd::Graph;
 use rn_dataset::{generate, Dataset, GeneratorConfig, Sample, SampleQos};
 use rn_netgraph::topologies;
 use rn_netsim::{ClassStats, SchedulingPolicy, SimConfig, TrafficProfile};
@@ -18,7 +18,6 @@ use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::MegabatchPlan;
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, QosRouteNet, SamplePlan};
-use std::sync::Arc;
 
 fn nsfnet_dataset(batch: usize, seed: u64) -> Dataset {
     let gen_config = GeneratorConfig {
@@ -59,20 +58,22 @@ fn with_fifo_qos(sample: &Sample) -> Sample {
     out
 }
 
-/// One fused forward + backward on the megabatch with the given worker pool
-/// and tape index mode; returns the loss bits and every parameter gradient.
+/// One fused forward + backward on the megabatch, the loss gather either
+/// borrowing a shared view of the reliable rows or copying them; returns
+/// the loss bits and every parameter gradient.
 fn megabatch_step<M: PathPredictor>(
     model: &M,
     mb: &MegabatchPlan,
-    pool: Option<Arc<WorkerPool>>,
-    zero_copy: bool,
+    shared_loss_rows: bool,
 ) -> (u32, Vec<Matrix>) {
     let mut g = Graph::new();
-    g.set_zero_copy(zero_copy);
-    g.set_worker_pool(pool);
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, &mb.plan);
-    let reliable = g.gather_rows(pred, &mb.plan.reliable_idx);
+    let reliable = if shared_loss_rows {
+        g.gather_rows(pred, mb.plan.reliable_idx_shared())
+    } else {
+        g.gather_rows(pred, &mb.plan.reliable_idx)
+    };
     let target = g.constant(mb.plan.reliable_targets_norm());
     let loss = g.mse(reliable, target);
     g.backward(loss);
@@ -155,43 +156,54 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers_and_index_mo
         "FIFO-only predictions diverged from the two-entity baseline"
     );
 
-    // Gradients: bitwise at every worker count, in both index modes (plus
-    // whatever CI injects through the centralized env override). The queue
-    // GRU must stay exactly zero — the loss never touches it.
-    let mut worker_counts: Vec<Option<usize>> = vec![None, Some(1), Some(2), Some(4)];
-    if let Some(extra) = routenet::TrainConfig::env_backward_shards() {
-        if !worker_counts.contains(&Some(extra)) {
-            worker_counts.push(Some(extra));
-        }
-    }
-    let (loss_ref, grads_ref) = megabatch_step(&ext, composed_ext.megabatch(), None, false);
-    for zero_copy in [false, true] {
-        for workers in &worker_counts {
-            let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-            let (loss_q, grads_q) =
-                megabatch_step(&qos, composed_qos.megabatch(), pool.clone(), zero_copy);
-            let (loss_e, grads_e) = megabatch_step(&ext, composed_ext.megabatch(), pool, zero_copy);
-            assert_eq!(
-                loss_q, loss_e,
-                "loss bits diverged at {workers:?} workers, zero_copy={zero_copy}"
-            );
-            assert_eq!(loss_q, loss_ref, "loss bits diverged from inline reference");
-            assert_eq!(grads_q.len(), grads_e.len() + 6);
-            for (i, (e, q)) in grads_e.iter().zip(&grads_q).enumerate() {
-                assert!(
-                    e.approx_eq(q, 0.0),
-                    "shared gradient {i} diverged at {workers:?} workers, zero_copy={zero_copy}"
-                );
-            }
-            for (i, (r, q)) in grads_ref.iter().zip(&grads_q).enumerate() {
-                assert!(r.approx_eq(q, 0.0), "gradient {i} diverged from inline");
-            }
-            for (i, m) in grads_q[grads_e.len()..].iter().enumerate() {
+    // Gradients: bitwise on 1, 2 and 4 concurrent workers, with the loss
+    // rows copied or shared. The queue GRU must stay exactly zero — the
+    // loss never touches it.
+    let (loss_ref, grads_ref) = megabatch_step(&ext, composed_ext.megabatch(), false);
+    for shared in [false, true] {
+        for workers in [1, 2, 4] {
+            let results: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            (
+                                megabatch_step(&qos, composed_qos.megabatch(), shared),
+                                megabatch_step(&ext, composed_ext.megabatch(), shared),
+                            )
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("step thread panicked"))
+                    .collect()
+            });
+            for ((loss_q, grads_q), (loss_e, grads_e)) in results {
                 assert_eq!(
-                    m.max_abs(),
-                    0.0,
-                    "queue GRU gradient {i} is nonzero on a FIFO-only batch"
+                    loss_q, loss_e,
+                    "loss bits diverged at {workers} workers, shared={shared}"
                 );
+                assert_eq!(loss_q, loss_ref, "loss bits diverged from the reference");
+                assert_eq!(grads_q.len(), grads_e.len() + 6);
+                for (i, (e, q)) in grads_e.iter().zip(&grads_q).enumerate() {
+                    assert!(
+                        e.approx_eq(q, 0.0),
+                        "shared gradient {i} diverged at {workers} workers, shared={shared}"
+                    );
+                }
+                for (i, (r, q)) in grads_ref.iter().zip(&grads_q).enumerate() {
+                    assert!(
+                        r.approx_eq(q, 0.0),
+                        "gradient {i} diverged from the reference"
+                    );
+                }
+                for (i, m) in grads_q[grads_e.len()..].iter().enumerate() {
+                    assert_eq!(
+                        m.max_abs(),
+                        0.0,
+                        "queue GRU gradient {i} is nonzero on a FIFO-only batch"
+                    );
+                }
             }
         }
     }
@@ -199,7 +211,7 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers_and_index_mo
 
 #[test]
 fn fifo_only_single_sample_predictions_are_bitwise_identical() {
-    // The per-sample (unbatched, unsharded) path — serving's cache-miss
+    // The per-sample (unbatched) path — serving's cache-miss
     // fallback — must hold the same guarantee as the megabatch path.
     let ds = nsfnet_dataset(2, 909);
     let mut ext = ExtendedRouteNet::new(model_config(7));
@@ -271,16 +283,10 @@ fn qos_batches_refill_bitwise_like_legacy_ones() {
         prediction_bits(&qos, fresh_b.megabatch()),
         "refilled QoS composition changed prediction bits"
     );
-    for workers in [None, Some(2)] {
-        let pool = workers.map(|w| Arc::new(WorkerPool::new(w)));
-        let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch(), pool.clone(), false);
-        let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch(), pool, false);
-        assert_eq!(loss_c, loss_f, "loss bits diverged at {workers:?} workers");
-        for (i, (a, b)) in grads_c.iter().zip(&grads_f).enumerate() {
-            assert!(
-                a.approx_eq(b, 0.0),
-                "gradient {i} diverged at {workers:?} workers"
-            );
-        }
+    let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch(), false);
+    let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch(), false);
+    assert_eq!(loss_c, loss_f, "refilled composition changed the loss bits");
+    for (i, (a, b)) in grads_c.iter().zip(&grads_f).enumerate() {
+        assert!(a.approx_eq(b, 0.0), "gradient {i} diverged after refill");
     }
 }
