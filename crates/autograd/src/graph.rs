@@ -252,9 +252,68 @@ fn pool_matrix_scratch(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize) -> Ma
     Matrix::from_vec(rows, cols, buf)
 }
 
-/// Return a matrix's backing buffer to the free list.
+/// Return a matrix's backing buffer to the free list. Buffers without
+/// capacity (discarded GRU scratch, states stolen by an in-place step) are
+/// dropped: pooling them would hand out empty buffers first and let the
+/// free list grow on every reuse.
 fn pool_recycle(pool: &mut Vec<Vec<f32>>, m: Matrix) {
-    pool.push(m.into_vec());
+    let buf = m.into_vec();
+    if buf.capacity() > 0 {
+        pool.push(buf);
+    }
+}
+
+/// A copy of `src` in a pooled buffer.
+fn pooled_copy(pool: &mut Vec<Vec<f32>>, src: &Matrix) -> Matrix {
+    let mut out = pool_matrix_scratch(pool, src.rows(), src.cols());
+    out.as_mut_slice().copy_from_slice(src.as_slice());
+    out
+}
+
+/// `f` of every element of `x`, in a pooled buffer (bitwise
+/// [`Matrix::map`]).
+fn pooled_map(pool: &mut Vec<Vec<f32>>, x: &Matrix, f: impl Fn(f32) -> f32) -> Matrix {
+    let mut out = pool_matrix_scratch(pool, x.rows(), x.cols());
+    for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
+        *o = f(v);
+    }
+    out
+}
+
+/// `f` of every element pair of `a` and `b`, in a pooled buffer (bitwise
+/// [`Matrix::zip`]).
+fn pooled_zip(
+    pool: &mut Vec<Vec<f32>>,
+    a: &Matrix,
+    b: &Matrix,
+    f: impl Fn(f32, f32) -> f32,
+) -> Matrix {
+    assert_eq!(a.shape(), b.shape(), "element-wise op: shapes differ");
+    let mut out = pool_matrix_scratch(pool, a.rows(), a.cols());
+    for ((o, &x), &y) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(a.as_slice())
+        .zip(b.as_slice())
+    {
+        *o = f(x, y);
+    }
+    out
+}
+
+/// A `rows x cols` matrix filled with `value`, in a pooled buffer.
+fn pooled_filled(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize, value: f32) -> Matrix {
+    let mut out = pool_matrix_scratch(pool, rows, cols);
+    out.as_mut_slice().fill(value);
+    out
+}
+
+/// `x` with every row scaled by the matching entry of the `n x 1` `col`,
+/// in a pooled buffer (bitwise [`Matrix::mul_col_broadcast`]).
+fn pooled_mul_col(pool: &mut Vec<Vec<f32>>, x: &Matrix, col: &Matrix) -> Matrix {
+    let mut out = pooled_copy(pool, x);
+    out.mul_col_broadcast_assign(col);
+    out
 }
 
 impl GruSaved {
@@ -486,6 +545,22 @@ impl Graph {
         }
     }
 
+    /// `f` of every element of the value of `x`, in a pooled buffer.
+    fn map_value(&mut self, x: Var, f: impl Fn(f32) -> f32) -> Matrix {
+        pooled_map(&mut self.pool, &self.nodes[x.0].value, f)
+    }
+
+    /// `f` of every element pair of the values of `a` and `b`, in a pooled
+    /// buffer.
+    fn zip_values(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Matrix {
+        pooled_zip(
+            &mut self.pool,
+            &self.nodes[a.0].value,
+            &self.nodes[b.0].value,
+            f,
+        )
+    }
+
     fn push(&mut self, value: Matrix, op: Op) -> Var {
         self.nodes.push(Node {
             value,
@@ -507,6 +582,14 @@ impl Graph {
                 requires_grad: true,
             },
         )
+    }
+
+    /// Register a differentiable leaf holding a copy of `src`, built in a
+    /// pooled buffer: binding a model's weights on a warm tape allocates
+    /// nothing.
+    pub fn param_copy(&mut self, src: &Matrix) -> Var {
+        let m = pooled_copy(&mut self.pool, src);
+        self.param(m)
     }
 
     /// Register a non-differentiable leaf (targets, masks, constants).
@@ -545,8 +628,7 @@ impl Graph {
     /// refcounted [`crate::SharedIndices`] views precisely because no op
     /// ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {
-        let mut m = pool_matrix_scratch(&mut self.pool, src.rows(), src.cols());
-        m.as_mut_slice().copy_from_slice(src.as_slice());
+        let m = pooled_copy(&mut self.pool, src);
         self.constant(m)
     }
 
@@ -568,19 +650,19 @@ impl Graph {
 
     /// Element-wise sum. Shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).add(self.value(b));
+        let v = self.zip_values(a, b, |x, y| x + y);
         self.push(v, Op::Add(a, b))
     }
 
     /// Element-wise difference. Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).sub(self.value(b));
+        let v = self.zip_values(a, b, |x, y| x - y);
         self.push(v, Op::Sub(a, b))
     }
 
     /// Element-wise (Hadamard) product. Shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).mul(self.value(b));
+        let v = self.zip_values(a, b, |x, y| x * y);
         self.push(v, Op::Mul(a, b))
     }
 
@@ -613,13 +695,14 @@ impl Graph {
             (1, cols),
             "add_bias: bias must be 1 x cols"
         );
-        let v = self.value(x).add_row_broadcast(self.value(bias));
+        let mut v = pooled_copy(&mut self.pool, &self.nodes[x.0].value);
+        v.add_row_broadcast_assign(self.value(bias));
         self.push(v, Op::AddBias { x, bias })
     }
 
     /// Element-wise affine map `a * x + b`.
     pub fn affine(&mut self, x: Var, a: f32, b: f32) -> Var {
-        let v = self.value(x).map(|t| a * t + b);
+        let v = self.map_value(x, |t| a * t + b);
         self.push(v, Op::Affine { x, a })
     }
 
@@ -672,7 +755,7 @@ impl Graph {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(act::relu);
+        let v = self.map_value(x, act::relu);
         self.push(v, Op::Relu(x))
     }
 
@@ -693,26 +776,26 @@ impl Graph {
 
     /// Softplus `ln(1+e^x)`.
     pub fn softplus(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(act::softplus);
+        let v = self.map_value(x, act::softplus);
         self.push(v, Op::Softplus(x))
     }
 
     /// Element-wise absolute value.
     pub fn abs(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(f32::abs);
+        let v = self.map_value(x, f32::abs);
         self.push(v, Op::Abs(x))
     }
 
     /// Element-wise square.
     pub fn square(&mut self, x: Var) -> Var {
-        let v = self.value(x).map(|t| t * t);
+        let v = self.map_value(x, |t| t * t);
         self.push(v, Op::Square(x))
     }
 
     /// Element-wise `min(x, cap)`. Gradient flows only where `x < cap`
     /// (the tie at `x == cap` takes the pass-through branch).
     pub fn clamp_max(&mut self, x: Var, cap: f32) -> Var {
-        let v = self.value(x).map(|t| t.min(cap));
+        let v = self.map_value(x, |t| t.min(cap));
         self.push(v, Op::ClampMax { x, cap })
     }
 
@@ -766,14 +849,9 @@ impl Graph {
     /// Multiply each row of `x` by the matching entry of the constant `n x 1`
     /// mask matrix (used to zero padded sequence positions).
     pub fn mask_rows(&mut self, x: Var, mask: &Matrix) -> Var {
-        let v = self.value(x).mul_col_broadcast(mask);
-        self.push(
-            v,
-            Op::MaskRows {
-                x,
-                mask: mask.clone(),
-            },
-        )
+        let v = pooled_mul_col(&mut self.pool, &self.nodes[x.0].value, mask);
+        let mask = pooled_copy(&mut self.pool, mask);
+        self.push(v, Op::MaskRows { x, mask })
     }
 
     // ------------------------------------------------------------------
@@ -805,8 +883,7 @@ impl Graph {
                 *d = m * s;
             }
         }
-        let mut mask_copy = pool_matrix_scratch(&mut pool, mask.rows(), 1);
-        mask_copy.as_mut_slice().copy_from_slice(mask.as_slice());
+        let mask_copy = pooled_copy(&mut pool, mask);
         self.pool = pool;
         let indices = IndexList::Pooled(pool_indices(
             &mut self.idx_pool,
@@ -855,8 +932,7 @@ impl Graph {
                 *d += m * v;
             }
         }
-        let mut mask_copy = pool_matrix_scratch(&mut pool, mask.rows(), 1);
-        mask_copy.as_mut_slice().copy_from_slice(mask.as_slice());
+        let mask_copy = pooled_copy(&mut pool, mask);
         self.pool = pool;
         let segments = IndexList::Pooled(pool_indices(
             &mut self.idx_pool,
@@ -917,10 +993,7 @@ impl Graph {
         let mut out = if self.inference_mode {
             std::mem::replace(&mut self.nodes[acc.0].value, Matrix::zeros(0, 0))
         } else {
-            let mut copy = pool_matrix_scratch(&mut pool, num_segments, cols);
-            copy.as_mut_slice()
-                .copy_from_slice(self.value(acc).as_slice());
-            copy
+            pooled_copy(&mut pool, self.value(acc))
         };
         let xv = self.value(x);
         for (&row, &seg) in rows.iter().zip(segments) {
@@ -996,10 +1069,7 @@ impl Graph {
             debug_assert_eq!(stolen.shape(), (n, hidden));
             stolen
         } else {
-            let mut copy = pool_matrix_scratch(&mut pool, n, hidden);
-            copy.as_mut_slice()
-                .copy_from_slice(self.value(h).as_slice());
-            copy
+            pooled_copy(&mut pool, self.value(h))
         };
         let xv = self.value(x);
         // hx = [h | x] over the active rows.
@@ -1203,13 +1273,15 @@ impl Graph {
 
     /// Sum of all elements, as a `1 x 1` matrix.
     pub fn sum(&mut self, x: Var) -> Var {
-        let v = Matrix::filled(1, 1, self.value(x).sum());
+        let total = self.value(x).sum();
+        let v = pooled_filled(&mut self.pool, 1, 1, total);
         self.push(v, Op::Sum(x))
     }
 
     /// Mean of all elements, as a `1 x 1` matrix.
     pub fn mean(&mut self, x: Var) -> Var {
-        let v = Matrix::filled(1, 1, self.value(x).mean());
+        let mean = self.value(x).mean();
+        let v = pooled_filled(&mut self.pool, 1, 1, mean);
         self.push(v, Op::Mean(x))
     }
 
@@ -1251,7 +1323,7 @@ impl Graph {
         let n = self.nodes.len();
         let mut pool = std::mem::take(&mut self.pool);
         let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
-        grads[loss.0] = Some(Matrix::ones(1, 1));
+        grads[loss.0] = Some(pooled_filled(&mut pool, 1, 1, 1.0));
 
         for id in (0..n).rev() {
             let Some(g) = grads[id].take() else { continue };
@@ -1267,13 +1339,14 @@ impl Graph {
                 }
                 &Op::Sub(a, b) => {
                     accumulate_ref(&mut grads, &mut pool, a, &g);
-                    accumulate(&mut grads, b, g.scale(-1.0));
+                    let gb = pooled_map(&mut pool, &g, |v| -v);
+                    accumulate_pooled(&mut grads, &mut pool, b, gb);
                 }
                 &Op::Mul(a, b) => {
-                    let ga = g.mul(self.value(b));
-                    let gb = g.mul(self.value(a));
-                    accumulate(&mut grads, a, ga);
-                    accumulate(&mut grads, b, gb);
+                    let ga = pooled_zip(&mut pool, &g, self.value(b), |x, y| x * y);
+                    let gb = pooled_zip(&mut pool, &g, self.value(a), |x, y| x * y);
+                    accumulate_pooled(&mut grads, &mut pool, a, ga);
+                    accumulate_pooled(&mut grads, &mut pool, b, gb);
                 }
                 &Op::MatMul { a, b } => {
                     if self.reference_mode {
@@ -1295,11 +1368,14 @@ impl Graph {
                     }
                 }
                 &Op::AddBias { x, bias } => {
-                    accumulate(&mut grads, bias, g.sum_rows());
+                    let mut gbias = pool_matrix(&mut pool, 1, g.cols());
+                    add_col_sums(&mut gbias, &g);
+                    accumulate_pooled(&mut grads, &mut pool, bias, gbias);
                     accumulate_ref(&mut grads, &mut pool, x, &g);
                 }
                 &Op::Affine { x, a } => {
-                    accumulate(&mut grads, x, g.scale(a));
+                    let gx = pooled_map(&mut pool, &g, |v| v * a);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Sigmoid(x) => {
                     // gx = g ⊙ y(1-y) via the fused vector kernel (bitwise
@@ -1324,8 +1400,10 @@ impl Graph {
                     accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Relu(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * act::relu_deriv(xi));
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
+                        gi * act::relu_deriv(xi)
+                    });
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Selu(x) => {
                     if self.reference_mode {
@@ -1344,20 +1422,28 @@ impl Graph {
                     }
                 }
                 &Op::Softplus(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * act::softplus_deriv(xi));
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
+                        gi * act::softplus_deriv(xi)
+                    });
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Abs(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * xi.signum());
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| gi * xi.signum());
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Square(x) => {
-                    let gx = g.zip(self.value(x), |gi, xi| gi * 2.0 * xi);
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| gi * 2.0 * xi);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::ClampMax { x, cap } => {
-                    let gx = g.zip(self.value(x), |gi, xi| if xi <= cap { gi } else { 0.0 });
-                    accumulate(&mut grads, x, gx);
+                    let gx = pooled_zip(&mut pool, &g, self.value(x), |gi, xi| {
+                        if xi <= cap {
+                            gi
+                        } else {
+                            0.0
+                        }
+                    });
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::ConcatCols(a, b) => {
                     let ca = self.value(a).cols();
@@ -1390,19 +1476,21 @@ impl Graph {
                     accumulate(&mut grads, *x, gx);
                 }
                 Op::MaskRows { x, mask } => {
-                    let gx = g.mul_col_broadcast(mask);
-                    accumulate(&mut grads, *x, gx);
+                    let gx = pooled_mul_col(&mut pool, &g, mask);
+                    accumulate_pooled(&mut grads, &mut pool, *x, gx);
                 }
                 &Op::Sum(x) => {
                     let s = g.get(0, 0);
                     let (rows, cols) = self.value(x).shape();
-                    accumulate(&mut grads, x, Matrix::filled(rows, cols, s));
+                    let gx = pooled_filled(&mut pool, rows, cols, s);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 &Op::Mean(x) => {
                     let (rows, cols) = self.value(x).shape();
                     let denom = (rows * cols).max(1) as f32;
                     let s = g.get(0, 0) / denom;
-                    accumulate(&mut grads, x, Matrix::filled(rows, cols, s));
+                    let gx = pooled_filled(&mut pool, rows, cols, s);
+                    accumulate_pooled(&mut grads, &mut pool, x, gx);
                 }
                 Op::GatherMask { x, indices, mask } => {
                     // out[i] = mask[i] * x[idx[i]]  =>  gx[idx[i]] += mask[i]*g[i]
@@ -1808,11 +1896,7 @@ impl Graph {
 fn accumulate_ref(grads: &mut [Option<Matrix>], pool: &mut Vec<Vec<f32>>, v: Var, g: &Matrix) {
     match &mut grads[v.0] {
         Some(existing) => existing.add_assign(g),
-        slot @ None => {
-            let mut copy = pool_matrix_scratch(pool, g.rows(), g.cols());
-            copy.as_mut_slice().copy_from_slice(g.as_slice());
-            *slot = Some(copy);
-        }
+        slot @ None => *slot = Some(pooled_copy(pool, g)),
     }
 }
 

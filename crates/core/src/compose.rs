@@ -81,14 +81,10 @@ pub struct MegabatchStructure {
     pub part_fps: Vec<u64>,
     /// Merged `(src, dst)` pairs in the union node id space.
     pub pairs: Vec<(usize, usize)>,
-    /// Merged extended steps (ids shifted, masks padded).
-    pub extended_steps: Vec<StepPlan>,
-    /// Merged original (links-only) steps.
-    pub original_steps: Vec<StepPlan>,
-    /// `extended_steps` compiled to CSR.
-    pub extended_csr: CompiledSteps,
-    /// `original_steps` compiled to CSR.
-    pub original_csr: CompiledSteps,
+    /// Merged path-sequence steps (ids shifted, masks padded).
+    pub steps: Vec<StepPlan>,
+    /// `steps` compiled to CSR.
+    pub csr: CompiledSteps,
     /// Merged path→node incidence rows.
     pub node_incidence_paths: Vec<usize>,
     /// Merged path→node incidence node ids.
@@ -140,53 +136,47 @@ impl MegabatchStructure {
         // the position agree on — legacy parts alternate node/link, QoS
         // parts cycle node/queue/link — and a disagreement (mixed legacy and
         // QoS parts) is unbatchable: the merged step would need two kinds.
-        let merge_steps =
-            |select: fn(&SamplePlan) -> &Vec<StepPlan>| -> Result<Vec<StepPlan>, MegabatchError> {
-                let max_len = parts.iter().map(|p| select(p).len()).max().unwrap_or(0);
-                let mut merged = Vec::with_capacity(max_len);
-                for pos in 0..max_len {
-                    let mut carried = parts.iter().filter_map(|p| select(p).get(pos));
-                    let kind = carried.next().expect("pos < max_len").kind;
-                    if carried.any(|s| s.kind != kind) {
-                        return Err(MegabatchError::ScheduleMismatch(pos));
+        let max_len = parts.iter().map(|p| p.steps.len()).max().unwrap_or(0);
+        let mut steps = Vec::with_capacity(max_len);
+        for pos in 0..max_len {
+            let mut carried = parts.iter().filter_map(|p| p.steps.get(pos));
+            let kind = carried.next().expect("pos < max_len").kind;
+            if carried.any(|s| s.kind != kind) {
+                return Err(MegabatchError::ScheduleMismatch(pos));
+            }
+            let mut ids = vec![0usize; n_paths];
+            let mut mask = Matrix::zeros(n_paths, 1);
+            let mut active = 0usize;
+            for (b, p) in parts.iter().enumerate() {
+                let offset = match kind {
+                    EntityKind::Link => link_off[b],
+                    EntityKind::Node => node_off[b],
+                    EntityKind::Queue => queue_off[b],
+                };
+                let rows = path_off[b]..path_off[b] + p.n_paths;
+                match p.steps.get(pos) {
+                    Some(step) => {
+                        for (row, &id) in rows.zip(&step.ids) {
+                            ids[row] = offset + id;
+                            let m = step.mask.get(row - path_off[b], 0);
+                            mask.set(row, 0, m);
+                        }
+                        active += step.active;
                     }
-                    let mut ids = vec![0usize; n_paths];
-                    let mut mask = Matrix::zeros(n_paths, 1);
-                    let mut active = 0usize;
-                    for (b, p) in parts.iter().enumerate() {
-                        let offset = match kind {
-                            EntityKind::Link => link_off[b],
-                            EntityKind::Node => node_off[b],
-                            EntityKind::Queue => queue_off[b],
-                        };
-                        let rows = path_off[b]..path_off[b] + p.n_paths;
-                        match select(p).get(pos) {
-                            Some(step) => {
-                                for (row, &id) in rows.zip(&step.ids) {
-                                    ids[row] = offset + id;
-                                    let m = step.mask.get(row - path_off[b], 0);
-                                    mask.set(row, 0, m);
-                                }
-                                active += step.active;
-                            }
-                            None => {
-                                for row in rows {
-                                    ids[row] = offset;
-                                }
-                            }
+                    None => {
+                        for row in rows {
+                            ids[row] = offset;
                         }
                     }
-                    merged.push(StepPlan {
-                        kind,
-                        ids,
-                        mask,
-                        active,
-                    });
                 }
-                Ok(merged)
-            };
-        let extended_steps = merge_steps(|p| &p.extended_steps)?;
-        let original_steps = merge_steps(|p| &p.original_steps)?;
+            }
+            steps.push(StepPlan {
+                kind,
+                ids,
+                mask,
+                active,
+            });
+        }
 
         // Pairs, incidences and row ranges live in the union id space.
         let mut node_incidence_paths = Vec::new();
@@ -204,8 +194,7 @@ impl MegabatchStructure {
             path_ranges.push((path_off[b], path_off[b] + p.n_paths));
         }
 
-        let extended_csr = CompiledSteps::compile(&extended_steps);
-        let original_csr = CompiledSteps::compile(&original_steps);
+        let csr = CompiledSteps::compile(&steps);
         let part_fps = parts.iter().map(|p| p.structure_fingerprint()).collect();
         Ok(Self {
             state_dim,
@@ -219,10 +208,8 @@ impl MegabatchStructure {
             queue_off,
             part_fps,
             pairs,
-            extended_steps,
-            original_steps,
-            extended_csr,
-            original_csr,
+            steps,
+            csr,
             node_incidence_paths,
             node_incidence_nodes,
             path_ranges,
@@ -420,10 +407,8 @@ impl ComposedMegabatch {
                     link_init: features.link_init,
                     node_init: features.node_init,
                     queue_init: features.queue_init,
-                    extended_steps: structure.extended_steps,
-                    original_steps: structure.original_steps,
-                    extended_csr: structure.extended_csr,
-                    original_csr: structure.original_csr,
+                    steps: structure.steps,
+                    csr: structure.csr,
                     node_incidence_paths: structure.node_incidence_paths,
                     node_incidence_nodes: structure.node_incidence_nodes,
                     targets_norm: features.targets_norm,
@@ -855,17 +840,13 @@ mod tests {
         );
         assert_eq!(a.reliable_samples, b.reliable_samples);
         assert_eq!(a.path_ranges, b.path_ranges);
-        for (x, y) in [
-            (&a.plan.extended_csr, &b.plan.extended_csr),
-            (&a.plan.original_csr, &b.plan.original_csr),
-        ] {
-            assert_eq!(x.kinds, y.kinds);
-            assert_eq!(x.offsets, y.offsets);
-            assert_eq!(x.ids_flat, y.ids_flat);
-            assert_eq!(x.active_offsets, y.active_offsets);
-            assert_eq!(x.active_rows_flat, y.active_rows_flat);
-            assert_eq!(x.active_ids_flat, y.active_ids_flat);
-        }
+        let (x, y) = (&a.plan.csr, &b.plan.csr);
+        assert_eq!(x.kinds, y.kinds);
+        assert_eq!(x.offsets, y.offsets);
+        assert_eq!(x.ids_flat, y.ids_flat);
+        assert_eq!(x.active_offsets, y.active_offsets);
+        assert_eq!(x.active_rows_flat, y.active_rows_flat);
+        assert_eq!(x.active_ids_flat, y.active_ids_flat);
         assert_eq!(a.plan.pairs, b.plan.pairs);
         assert_eq!(a.plan.node_incidence_paths, b.plan.node_incidence_paths);
         assert_eq!(a.plan.node_incidence_nodes, b.plan.node_incidence_nodes);

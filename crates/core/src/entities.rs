@@ -4,9 +4,9 @@
 //! sample and reused across epochs:
 //!
 //! - initial entity states (features zero-padded to `state_dim`),
-//! - per-sequence-position gather/scatter index plans ([`StepPlan`]) for both
-//!   the original (links only) and extended (interleaved `node-link-node-…`)
-//!   path sequences,
+//! - per-sequence-position gather/scatter index plans ([`StepPlan`]) for the
+//!   one interleaved `node-link-node-…` path sequence (a model lacking an
+//!   entity skips its positions),
 //! - the path↔node incidence lists used by the
 //!   [`crate::NodeUpdate::FinalPathStateSum`] ablation,
 //! - normalized regression targets and the indices of paths whose labels are
@@ -14,7 +14,7 @@
 //!
 //! ## Sequence convention
 //!
-//! For a path `v₀ → v₁ → … → v_k` over links `l₁ … l_k`, the extended
+//! For a path `v₀ → v₁ → … → v_k` over links `l₁ … l_k`, the
 //! sequence is `v₀, l₁, v₁, l₂, …, v_{k-1}, l_k` (length `2k`): each link is
 //! preceded by the node whose output queue feeds it, so the source node is
 //! included and the destination node (which performs no forwarding) is not.
@@ -27,7 +27,7 @@
 //! Samples carrying a QoS dimension (a scheduling policy with more than one
 //! ToS class — see `rn_dataset::schema::SampleQos`) grow a third entity: one
 //! **queue** per (directed link, class) pair, id `link * num_classes +
-//! class`. The extended sequence becomes 3-periodic per hop — `v₀, q₁, l₁,
+//! class`. The sequence becomes 3-periodic per hop — `v₀, q₁, l₁,
 //! v₁, q₂, l₂, …` (length `3k`): the forwarding node, then the per-class
 //! queue the path's packets wait in at that port, then the link that drains
 //! it. Legacy samples (`qos: None`) and single-class FIFO QoS samples build
@@ -204,14 +204,12 @@ pub struct SamplePlan {
     /// the queue's class in col 0, priority rank in col 1). `0 x state_dim`
     /// for plans without queue entities.
     pub queue_init: Matrix,
-    /// Steps of the extended interleaved sequence.
-    pub extended_steps: Vec<StepPlan>,
-    /// Steps of the original links-only sequence.
-    pub original_steps: Vec<StepPlan>,
-    /// `extended_steps` precompiled into flat CSR buffers (fused forward).
-    pub extended_csr: CompiledSteps,
-    /// `original_steps` precompiled into flat CSR buffers (fused forward).
-    pub original_csr: CompiledSteps,
+    /// Steps of the interleaved path sequence: node, (queue,) link per hop.
+    /// A model reads the positions of the entities it has and skips the
+    /// rest, so the original model walks just the link positions.
+    pub steps: Vec<StepPlan>,
+    /// `steps` precompiled into flat CSR buffers (fused forward).
+    pub csr: CompiledSteps,
     /// Flattened path-node incidence: for every (path, traversed node) pair,
     /// the path row index…
     pub node_incidence_paths: Vec<usize>,
@@ -329,17 +327,16 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         }
     }
 
-    // ---- Sequences --------------------------------------------------------
-    // Extended: v0, l1, v1, l2, ..., v_{k-1}, l_k  (length 2k);
-    //   QoS plans: v0, q1, l1, v1, q2, l2, ...     (length 3k)
-    // Original: l1, ..., l_k                        (length k)
+    // ---- Sequence ---------------------------------------------------------
+    // v0, l1, v1, l2, ..., v_{k-1}, l_k        (length 2k);
+    // QoS plans: v0, q1, l1, v1, q2, l2, ...  (length 3k).
     let max_hops = paths
         .iter()
         .map(|(_, _, p)| p.hop_count())
         .max()
         .unwrap_or(0);
     let period = if qos.is_some() { 3 } else { 2 };
-    let mut extended_steps = Vec::with_capacity(period * max_hops);
+    let mut steps = Vec::with_capacity(period * max_hops);
     for pos in 0..(period * max_hops) {
         let kind = match (pos % period, period) {
             (0, _) => EntityKind::Node,
@@ -364,33 +361,13 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
                 active += 1;
             }
         }
-        extended_steps.push(StepPlan {
+        steps.push(StepPlan {
             kind,
             ids,
             mask,
             active,
         });
     }
-    let mut original_steps = Vec::with_capacity(max_hops);
-    for hop in 0..max_hops {
-        let mut ids = vec![0usize; n_paths];
-        let mut mask = Matrix::zeros(n_paths, 1);
-        let mut active = 0;
-        for (row, (_, _, path)) in paths.iter().enumerate() {
-            if hop < path.hop_count() {
-                ids[row] = path.links[hop];
-                mask.set(row, 0, 1.0);
-                active += 1;
-            }
-        }
-        original_steps.push(StepPlan {
-            kind: EntityKind::Link,
-            ids,
-            mask,
-            active,
-        });
-    }
-
     // ---- Node incidences (forwarding nodes: all but the destination) ------
     let mut node_incidence_paths = Vec::new();
     let mut node_incidence_nodes = Vec::new();
@@ -418,8 +395,7 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         }
     }
 
-    let extended_csr = CompiledSteps::compile(&extended_steps);
-    let original_csr = CompiledSteps::compile(&original_steps);
+    let csr = CompiledSteps::compile(&steps);
     SamplePlan {
         n_paths,
         num_links,
@@ -430,10 +406,8 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         link_init,
         node_init,
         queue_init,
-        extended_steps,
-        original_steps,
-        extended_csr,
-        original_csr,
+        steps,
+        csr,
         node_incidence_paths,
         node_incidence_nodes,
         targets_norm,
@@ -605,12 +579,12 @@ impl SamplePlan {
             self.n_paths,
             self.num_links,
             self.num_nodes,
-            self.extended_steps.len()
+            self.steps.len()
         ));
         for (row, &(s, d)) in self.pairs.iter().take(max_paths).enumerate() {
             out.push_str(&format!("path {row} ({s} -> {d}): "));
             let mut parts = Vec::new();
-            for step in &self.extended_steps {
+            for step in &self.steps {
                 if step.mask.get(row, 0) > 0.0 {
                     let tag = match step.kind {
                         EntityKind::Node => format!("RNN_P<-node{}", step.ids[row]),
@@ -683,6 +657,15 @@ mod tests {
         assert_eq!(plan.targets_norm.shape(), (20, 1));
     }
 
+    fn max_hops(sample: &Sample) -> usize {
+        sample
+            .routing
+            .iter_paths()
+            .map(|(_, _, p)| p.hop_count())
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn extended_sequence_alternates_node_link() {
         let (_, sample) = toy_sample();
@@ -693,7 +676,7 @@ mod tests {
             .collect();
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
-        for (i, step) in plan.extended_steps.iter().enumerate() {
+        for (i, step) in plan.steps.iter().enumerate() {
             let expected = if i % 2 == 0 {
                 EntityKind::Node
             } else {
@@ -701,7 +684,7 @@ mod tests {
             };
             assert_eq!(step.kind, expected, "position {i}");
         }
-        assert_eq!(plan.extended_steps.len(), 2 * plan.original_steps.len());
+        assert_eq!(plan.steps.len(), 2 * max_hops(&sample));
     }
 
     #[test]
@@ -718,18 +701,16 @@ mod tests {
             assert_eq!(plan.pairs[row], (s, d));
             // Extended: node at even 2*h, the traversed link at odd 2*h+1.
             for (h, &l) in path.links.iter().enumerate() {
-                let node_step = &plan.extended_steps[2 * h];
-                let link_step = &plan.extended_steps[2 * h + 1];
+                let node_step = &plan.steps[2 * h];
+                let link_step = &plan.steps[2 * h + 1];
                 assert_eq!(node_step.ids[row], path.nodes[h]);
                 assert_eq!(node_step.mask.get(row, 0), 1.0);
                 assert_eq!(link_step.ids[row], l);
                 assert_eq!(link_step.mask.get(row, 0), 1.0);
-                // Original: link at position h.
-                assert_eq!(plan.original_steps[h].ids[row], l);
             }
             // Positions past the path length are masked out.
-            for pos in (2 * path.hop_count())..plan.extended_steps.len() {
-                assert_eq!(plan.extended_steps[pos].mask.get(row, 0), 0.0);
+            for pos in (2 * path.hop_count())..plan.steps.len() {
+                assert_eq!(plan.steps[pos].mask.get(row, 0), 0.0);
             }
         }
     }
@@ -764,8 +745,8 @@ mod tests {
 
         assert_eq!(plan.num_queues, topo.num_links() * n);
         assert_eq!(plan.queue_init.shape(), (plan.num_queues, 8));
-        assert_eq!(plan.extended_steps.len(), 3 * plan.original_steps.len());
-        for (i, step) in plan.extended_steps.iter().enumerate() {
+        assert_eq!(plan.steps.len(), 3 * max_hops(&sample));
+        for (i, step) in plan.steps.iter().enumerate() {
             let expected = match i % 3 {
                 0 => EntityKind::Node,
                 1 => EntityKind::Queue,
@@ -777,11 +758,11 @@ mod tests {
         for (row, (_, _, path)) in sample.routing.iter_paths().enumerate() {
             let class = qos.path_classes[row] as usize;
             for (h, &l) in path.links.iter().enumerate() {
-                let qstep = &plan.extended_steps[3 * h + 1];
+                let qstep = &plan.steps[3 * h + 1];
                 assert_eq!(qstep.ids[row], l * n + class, "row {row} hop {h}");
                 assert_eq!(qstep.mask.get(row, 0), 1.0);
-                assert_eq!(plan.extended_steps[3 * h].ids[row], path.nodes[h]);
-                assert_eq!(plan.extended_steps[3 * h + 2].ids[row], l);
+                assert_eq!(plan.steps[3 * h].ids[row], path.nodes[h]);
+                assert_eq!(plan.steps[3 * h + 2].ids[row], l);
             }
         }
         // Queue features: per-link scheduler shares sum to 1, ranks descend.
@@ -823,8 +804,8 @@ mod tests {
 
         assert_eq!(degenerate.num_queues, 0);
         assert_eq!(degenerate.queue_init.shape(), (0, 8));
-        assert_eq!(degenerate.extended_steps.len(), legacy.extended_steps.len());
-        for (a, b) in legacy.extended_steps.iter().zip(&degenerate.extended_steps) {
+        assert_eq!(degenerate.steps.len(), legacy.steps.len());
+        for (a, b) in legacy.steps.iter().zip(&degenerate.steps) {
             assert_eq!(a.kind, b.kind);
             assert_eq!(a.ids, b.ids);
             assert!(a.mask.approx_eq(&b.mask, 0.0));
@@ -844,12 +825,12 @@ mod tests {
             .collect();
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
-        for step in plan.extended_steps.iter().chain(&plan.original_steps) {
+        for step in &plan.steps {
             let mask_sum = step.mask.sum() as usize;
             assert_eq!(step.active, mask_sum);
         }
         // The first position involves every path (every path has >= 1 hop).
-        assert_eq!(plan.extended_steps[0].active, plan.n_paths);
+        assert_eq!(plan.steps[0].active, plan.n_paths);
     }
 
     #[test]
@@ -965,10 +946,10 @@ mod tests {
             let node_base: usize = plans[..b].iter().map(|q| q.num_nodes).sum();
             let queue_base: usize = plans[..b].iter().map(|q| q.num_queues).sum();
             let (row_lo, row_hi) = mb.path_ranges[b];
-            for (pos, step) in mb.plan.extended_steps.iter().enumerate() {
+            for (pos, step) in mb.plan.steps.iter().enumerate() {
                 for row in row_lo..row_hi {
                     if step.mask.get(row, 0) > 0.0 {
-                        let local = &p.extended_steps[pos];
+                        let local = &p.steps[pos];
                         let (base, local_id) = match step.kind {
                             EntityKind::Link => (link_base, local.ids[row - row_lo]),
                             EntityKind::Node => (node_base, local.ids[row - row_lo]),
@@ -1044,12 +1025,12 @@ mod tests {
             .collect();
         let prep = preprocessing(&delays);
         let plan = build_plan(&sample, &plan_config(&prep));
-        assert_eq!(plan.extended_csr.len(), plan.extended_steps.len());
-        for (s, step) in plan.extended_steps.iter().enumerate() {
-            assert_eq!(plan.extended_csr.kinds[s], step.kind);
-            assert_eq!(plan.extended_csr.active[s], step.active);
-            assert_eq!(plan.extended_csr.ids(s), &step.ids[..]);
-            assert!(plan.extended_csr.masks[s].approx_eq(&step.mask, 0.0));
+        assert_eq!(plan.csr.len(), plan.steps.len());
+        for (s, step) in plan.steps.iter().enumerate() {
+            assert_eq!(plan.csr.kinds[s], step.kind);
+            assert_eq!(plan.csr.active[s], step.active);
+            assert_eq!(plan.csr.ids(s), &step.ids[..]);
+            assert!(plan.csr.masks[s].approx_eq(&step.mask, 0.0));
         }
     }
 

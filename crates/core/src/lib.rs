@@ -24,6 +24,18 @@
 //! predicted per-path delay. The learnable functions are exactly the four of
 //! the paper: `RNN_P`, `RNN_L`, `RNN_N`, readout.
 //!
+//! ## One model, one path sequence
+//!
+//! Both models — and a QoS-aware one that adds a per-(link, class) queue
+//! entity (`RNN_Q`) — are a single type, [`model::RouteNet`], generic over
+//! an entity set that declares which of nodes and queues it has:
+//! [`OriginalRouteNet`], [`ExtendedRouteNet`] and [`QosRouteNet`] are type
+//! aliases. Every plan carries one interleaved path sequence (node, queue,
+//! link per hop on QoS scenarios; node, link otherwise), and the path sweep
+//! skips the positions of entities the model lacks: the original model
+//! walks the link positions, and a model without queues reads a QoS
+//! scenario as the same scenario without its QoS spec.
+//!
 //! ## Crate layout
 //!
 //! - [`config`] — hyper-parameters, including the [`config::NodeUpdate`]
@@ -32,8 +44,8 @@
 //! - [`features`] — feature scaling fitted on the training set.
 //! - [`entities`] — converts a dataset sample into the tensors and
 //!   gather/scatter index plans message passing executes over.
-//! - [`model`] — [`OriginalRouteNet`], [`ExtendedRouteNet`] and the
-//!   QoS-aware [`QosRouteNet`] (adds a per-(link, class) queue entity).
+//! - [`model`] — [`model::RouteNet`] over its entity set, with the
+//!   [`PathPredictor`] interface the trainer, evaluator and server use.
 //! - [`trainer`] — minibatch Adam training with rayon data-parallel gradients.
 //! - [`eval`] — relative-error evaluation and CDF series (Figure 2).
 //! - [`persist`] — atomic JSON save/load of trained models.
@@ -62,6 +74,6 @@ pub use config::{ModelConfig, NodeUpdate};
 pub use entities::{EntityKind, MegabatchError, SamplePlan};
 pub use eval::{evaluate, EvalReport};
 pub use features::FeatureScales;
-pub use model::{ExtendedRouteNet, OriginalRouteNet, PathPredictor, QosRouteNet};
+pub use model::{ExtendedRouteNet, OriginalRouteNet, PathPredictor, QosRouteNet, RouteNet};
 pub use plan_cache::{sample_fingerprint, PlanCache};
 pub use trainer::{train, TrainConfig, TrainingHistory};

@@ -1,21 +1,33 @@
-//! The original and extended RouteNet models.
+//! RouteNet: one model over paths, links and an entity set of nodes and
+//! queues.
+//!
+//! [`RouteNet<E>`] is the paper's model family in one type. The entity set
+//! `E` says which entities the model has beyond paths and links: the
+//! original RouteNet ([`Original`]) has none, the paper's extended RouteNet
+//! ([`Extended`]) adds the node entity (`RNN_N`), and the QoS model
+//! ([`Qos`]) adds a per-(link, class) queue entity (`RNN_Q`) on top. Every
+//! plan carries one interleaved path sequence (node, queue if any, link per
+//! hop); a model walks it and skips the positions of entities it lacks, so
+//! the original model reads exactly the links of each path.
 
 use crate::config::{ModelConfig, NodeUpdate};
 use crate::entities::{
-    build_megabatch, build_plan, CompiledSteps, EntityKind, MegabatchPlan, PlanConfig, SamplePlan,
-    StepPlan, TargetKind,
+    build_megabatch, build_plan, EntityKind, MegabatchPlan, PlanConfig, SamplePlan, TargetKind,
 };
 use crate::features::FeatureScales;
 use rn_autograd::{Graph, Var};
 use rn_dataset::{Dataset, Normalizer, Sample};
 use rn_nn::{Activation, BoundGruCell, BoundMlp, GruCell, Layer, Mlp};
 use rn_tensor::{Matrix, Prng};
+use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
-/// Common interface of both RouteNet variants: bindable layers plus a
+/// Common interface of the RouteNet variants: bindable layers plus a
 /// plan-driven forward pass producing one normalized prediction per path.
 pub trait PathPredictor: Layer + Clone + Send + Sync {
-    /// Short identifier used in reports ("original" / "extended").
+    /// Short identifier used in reports ("original" / "extended" / "qos").
     fn name(&self) -> &'static str;
 
     /// The hyper-parameters.
@@ -105,18 +117,11 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
         self.predict_batch_refs_with(g, &parts)
     }
 
-    /// Batched inference over borrowed plans. The serving layer holds plans
-    /// behind `Arc`s in a shared cache, so batches are assembled as slices
-    /// of references rather than contiguous owned plans; results are
+    /// Batched inference over borrowed plans on a caller-provided (pooled)
+    /// tape — the steady-state serving hot path, which holds plans behind
+    /// `Arc`s in a shared cache: one bind per batch, fused block-diagonal
+    /// forward, allocation-free once the pool is warm. Results are
     /// identical to [`PathPredictor::predict_batch`] element for element.
-    fn predict_batch_refs(&self, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
-        let mut g = Graph::new();
-        self.predict_batch_refs_with(&mut g, plans)
-    }
-
-    /// [`PathPredictor::predict_batch_refs`] on a caller-provided (pooled)
-    /// tape — the steady-state serving hot path: one bind per batch, fused
-    /// block-diagonal forward, allocation-free once the pool is warm.
     fn predict_batch_refs_with(&self, g: &mut Graph, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
         if plans.is_empty() {
             return Vec::new();
@@ -157,48 +162,126 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Shared message-passing machinery
+// Entity sets
 // ---------------------------------------------------------------------------
 
-/// Run one fused path-RNN sweep over precompiled CSR steps, accumulating
-/// per-entity message sums.
+/// Which entities a [`RouteNet`] has beyond paths and links. Implemented by
+/// zero-sized markers; the constants fix the model's GRUs, its parameter
+/// order and the sequence positions it reads.
+pub trait EntitySet: Debug + Clone + Send + Sync + 'static {
+    /// Report name of the variant ("original" / "extended" / "qos").
+    const NAME: &'static str;
+    /// The node entity (`RNN_N`, the paper's extension).
+    const NODES: bool;
+    /// The per-(link, class) queue entity (`RNN_Q`).
+    const QUEUES: bool;
+}
+
+/// The original RouteNet: paths and links only. Node features (queue sizes)
+/// are invisible to it — exactly the limitation the paper demonstrates.
+#[derive(Debug, Clone, Copy)]
+pub struct Original;
+
+/// The paper's extended RouteNet: adds the node entity, whose states the
+/// path sequences interleave with the links'.
+#[derive(Debug, Clone, Copy)]
+pub struct Extended;
+
+/// The QoS-aware RouteNet: adds a per-(link, class) queue entity on top of
+/// the extended model, so message passing sees the scheduler configuration
+/// (policy shares, class ranks) of every output port.
+#[derive(Debug, Clone, Copy)]
+pub struct Qos;
+
+impl EntitySet for Original {
+    const NAME: &'static str = "original";
+    const NODES: bool = false;
+    const QUEUES: bool = false;
+}
+
+impl EntitySet for Extended {
+    const NAME: &'static str = "extended";
+    const NODES: bool = true;
+    const QUEUES: bool = false;
+}
+
+impl EntitySet for Qos {
+    const NAME: &'static str = "qos";
+    const NODES: bool = true;
+    const QUEUES: bool = true;
+}
+
+/// The original RouteNet (paths and links).
+pub type OriginalRouteNet = RouteNet<Original>;
+/// The paper's extended RouteNet (adds nodes).
+pub type ExtendedRouteNet = RouteNet<Extended>;
+/// The QoS-aware RouteNet (adds nodes and queues).
+pub type QosRouteNet = RouteNet<Qos>;
+
+// ---------------------------------------------------------------------------
+// Message passing
+// ---------------------------------------------------------------------------
+
+/// Entity states entering one path sweep. Node and queue states exist only
+/// for entities the model has (queues also only on plans with queues).
+#[derive(Clone, Copy)]
+struct States {
+    path: Var,
+    link: Var,
+    node: Option<Var>,
+    queue: Option<Var>,
+}
+
+impl States {
+    /// The states a sequence position of `kind` reads, or `None` when the
+    /// model lacks that entity and the position is skipped.
+    fn of(&self, kind: EntityKind) -> Option<Var> {
+        match kind {
+            EntityKind::Link => Some(self.link),
+            EntityKind::Node => self.node,
+            EntityKind::Queue => self.queue,
+        }
+    }
+}
+
+/// What one path sweep produces: the final path states and the per-entity
+/// message sums (`node` only when node messages are collected, `queue` only
+/// when the sweep read queue states).
+struct Messages {
+    path: Var,
+    link: Var,
+    node: Option<Var>,
+    queue: Option<Var>,
+}
+
+/// Run one fused path-RNN sweep over the plan's precompiled CSR steps,
+/// accumulating per-entity message sums.
 ///
 /// Three tape nodes per sequence position (`gather_rows`, `gru_step_rows`,
-/// `segment_acc_rows`) instead of the ~20 the unfused sweep records — this is the
-/// training hot path. Returns `(final_path_state, link_message_sum,
-/// node_message_sum, queue_message_sum)`; the node accumulator is `None`
-/// when `collect_node_messages` is false (original model, or the
-/// FinalPathStateSum ablation), and the queue accumulator is `None` unless
-/// `queue_state` is supplied (QoS plans only — legacy sweeps record exactly
-/// the same tape ops as before the queue entity existed).
-#[allow(clippy::too_many_arguments)]
+/// `segment_acc_rows`) instead of the ~20 the unfused sweep records — this
+/// is the training hot path. Positions of entities the model lacks are
+/// skipped without recording anything.
 fn path_sweep(
     g: &mut Graph,
     gru_path: &BoundGruCell,
-    csr: &CompiledSteps,
-    mut path_state: Var,
-    link_state: Var,
-    node_state: Option<Var>,
-    queue_state: Option<Var>,
-    num_links: usize,
-    num_nodes: usize,
-    num_queues: usize,
+    plan: &SamplePlan,
+    states: States,
     collect_node_messages: bool,
-) -> (Var, Var, Option<Var>, Option<Var>) {
-    let state_dim = g.value(link_state).cols();
-    let mut link_acc = g.constant_with(num_links, state_dim, |_| {});
-    let mut node_acc = if collect_node_messages {
-        Some(g.constant_with(num_nodes, state_dim, |_| {}))
-    } else {
-        None
-    };
-    let mut queue_acc = if queue_state.is_some() {
-        Some(g.constant_with(num_queues, state_dim, |_| {}))
-    } else {
-        None
-    };
+) -> Messages {
+    let csr = &plan.csr;
+    let state_dim = g.value(states.link).cols();
+    let mut path_state = states.path;
+    let mut link_acc = g.constant_with(plan.num_links, state_dim, |_| {});
+    let mut node_acc = (collect_node_messages && states.node.is_some())
+        .then(|| g.constant_with(plan.num_nodes, state_dim, |_| {}));
+    let mut queue_acc = states
+        .queue
+        .map(|_| g.constant_with(plan.num_queues, state_dim, |_| {}));
     let gru_vars = gru_path.vars();
     for s in 0..csr.len() {
+        let Some(entity_states) = states.of(csr.kinds[s]) else {
+            continue;
+        };
         if csr.active[s] == 0 {
             continue;
         }
@@ -208,341 +291,235 @@ fn path_sweep(
         // of the compiled CSR buffers, so per-step index traffic is refcount
         // bumps, not copies.
         let (rows, ids) = (csr.shared_active_rows(s), csr.shared_active_ids(s));
-        let states = match csr.kinds[s] {
-            EntityKind::Link => link_state,
-            EntityKind::Node => node_state.expect("node step requires node states"),
-            EntityKind::Queue => queue_state.expect("queue step requires queue states"),
-        };
-        let x = g.gather_rows(states, &ids);
+        let x = g.gather_rows(entity_states, &ids);
         path_state = g.gru_step_rows(&gru_vars, path_state, x, &rows);
         // The post-step hidden state is the message to this position's entity.
-        match csr.kinds[s] {
-            EntityKind::Link => link_acc = g.segment_acc_rows(link_acc, path_state, rows, ids),
-            EntityKind::Node => {
-                if let Some(acc) = node_acc {
-                    node_acc = Some(g.segment_acc_rows(acc, path_state, rows, ids));
-                }
-            }
-            EntityKind::Queue => {
-                if let Some(acc) = queue_acc {
-                    queue_acc = Some(g.segment_acc_rows(acc, path_state, rows, ids));
-                }
-            }
+        let acc = match csr.kinds[s] {
+            EntityKind::Link => Some(&mut link_acc),
+            EntityKind::Node => node_acc.as_mut(),
+            EntityKind::Queue => queue_acc.as_mut(),
+        };
+        if let Some(acc) = acc {
+            *acc = g.segment_acc_rows(*acc, path_state, rows, ids);
         }
     }
-    (path_state, link_acc, node_acc, queue_acc)
+    Messages {
+        path: path_state,
+        link: link_acc,
+        node: node_acc,
+        queue: queue_acc,
+    }
 }
 
 /// The pre-fusion sweep, op by op — the numerical reference for
 /// [`path_sweep`] and the "before" side of the training-step benchmark.
-#[allow(clippy::too_many_arguments)]
 fn path_sweep_unfused(
     g: &mut Graph,
     gru_path: &BoundGruCell,
-    steps: &[StepPlan],
-    mut path_state: Var,
-    link_state: Var,
-    node_state: Option<Var>,
-    queue_state: Option<Var>,
-    num_links: usize,
-    num_nodes: usize,
-    num_queues: usize,
+    plan: &SamplePlan,
+    states: States,
     collect_node_messages: bool,
-) -> (Var, Var, Option<Var>, Option<Var>) {
-    let mut link_acc = g.constant(Matrix::zeros(num_links, g.value(link_state).cols()));
-    let mut node_acc = if collect_node_messages {
-        Some(g.constant(Matrix::zeros(num_nodes, g.value(link_state).cols())))
-    } else {
-        None
-    };
-    let mut queue_acc = queue_state
-        .is_some()
-        .then(|| g.constant(Matrix::zeros(num_queues, g.value(link_state).cols())));
-    for step in steps {
+) -> Messages {
+    let state_dim = g.value(states.link).cols();
+    let zeros = |g: &mut Graph, rows: usize| g.constant(Matrix::zeros(rows, state_dim));
+    let mut path_state = states.path;
+    let mut link_acc = zeros(g, plan.num_links);
+    let mut node_acc =
+        (collect_node_messages && states.node.is_some()).then(|| zeros(g, plan.num_nodes));
+    let mut queue_acc = states.queue.map(|_| zeros(g, plan.num_queues));
+    for step in &plan.steps {
+        let Some(entity_states) = states.of(step.kind) else {
+            continue;
+        };
         if step.active == 0 {
             continue;
         }
-        let states = match step.kind {
-            EntityKind::Link => link_state,
-            EntityKind::Node => node_state.expect("node step requires node states"),
-            EntityKind::Queue => queue_state.expect("queue step requires queue states"),
-        };
-        let x_raw = g.gather_rows(states, &step.ids);
+        let x_raw = g.gather_rows(entity_states, &step.ids);
         let x = g.mask_rows(x_raw, &step.mask);
         path_state = gru_path.step_masked(g, path_state, x, &step.mask);
         // The post-step hidden state is the message to this position's entity.
         let msg = g.mask_rows(path_state, &step.mask);
-        match step.kind {
-            EntityKind::Link => {
-                let contribution = g.segment_sum(msg, &step.ids, num_links);
-                link_acc = g.add(link_acc, contribution);
-            }
-            EntityKind::Node => {
-                if let Some(acc) = node_acc {
-                    let contribution = g.segment_sum(msg, &step.ids, num_nodes);
-                    node_acc = Some(g.add(acc, contribution));
-                }
-            }
-            EntityKind::Queue => {
-                if let Some(acc) = queue_acc {
-                    let contribution = g.segment_sum(msg, &step.ids, num_queues);
-                    queue_acc = Some(g.add(acc, contribution));
-                }
-            }
+        let (acc, count) = match step.kind {
+            EntityKind::Link => (Some(&mut link_acc), plan.num_links),
+            EntityKind::Node => (node_acc.as_mut(), plan.num_nodes),
+            EntityKind::Queue => (queue_acc.as_mut(), plan.num_queues),
+        };
+        if let Some(acc) = acc {
+            let contribution = g.segment_sum(msg, &step.ids, count);
+            *acc = g.add(*acc, contribution);
         }
     }
-    (path_state, link_acc, node_acc, queue_acc)
+    Messages {
+        path: path_state,
+        link: link_acc,
+        node: node_acc,
+        queue: queue_acc,
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Original RouteNet
+// The model
 // ---------------------------------------------------------------------------
 
-/// The original RouteNet: link and path entities only. Node features (queue
-/// sizes) are invisible to this model — exactly the limitation the paper
-/// demonstrates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OriginalRouteNet {
+/// RouteNet over the entity set `E`: a path GRU, a link GRU, a node GRU and
+/// a queue GRU for the entities `E` has, and an MLP readout.
+///
+/// Parameters are drawn from the seed stream, bound on the tape and listed
+/// in one order: path, link, node (if any), readout, queue (if any). At
+/// equal seed the QoS model therefore shares every parameter bit with the
+/// extended model, and on plans without queues (legacy and single-class
+/// FIFO scenarios) it records the extended model's tape node for node —
+/// the queue GRU is bound last and no queue op runs.
+#[derive(Debug, Clone)]
+pub struct RouteNet<E: EntitySet> {
     config: ModelConfig,
     scales: FeatureScales,
     normalizer: Normalizer,
     gru_path: GruCell,
     gru_link: GruCell,
+    gru_node: Option<GruCell>,
     readout: Mlp,
+    gru_queue: Option<GruCell>,
+    entities: PhantomData<E>,
 }
 
-/// Tape bindings for [`OriginalRouteNet`].
+/// Tape bindings for a [`RouteNet`].
 #[derive(Debug, Clone)]
-pub struct BoundOriginal {
+pub struct BoundRouteNet {
     gru_path: BoundGruCell,
     gru_link: BoundGruCell,
+    gru_node: Option<BoundGruCell>,
     readout: BoundMlp,
+    gru_queue: Option<BoundGruCell>,
 }
 
-impl OriginalRouteNet {
+impl<E: EntitySet> RouteNet<E> {
     /// Fresh model with Xavier-initialized weights.
     pub fn new(config: ModelConfig) -> Self {
         config.validate().expect("invalid model config");
         let d = config.state_dim;
         let h = config.readout_hidden;
         let mut rng = Prng::new(config.seed);
+        let gru_path = GruCell::new(&mut rng, d, d);
+        let gru_link = GruCell::new(&mut rng, d, d);
+        let gru_node = E::NODES.then(|| GruCell::new(&mut rng, d, d));
+        let readout = Mlp::new(
+            &mut rng,
+            &[d, h, h, 1],
+            Activation::Selu,
+            Activation::Identity,
+        );
+        let gru_queue = E::QUEUES.then(|| GruCell::new(&mut rng, d, d));
         Self {
-            gru_path: GruCell::new(&mut rng, d, d),
-            gru_link: GruCell::new(&mut rng, d, d),
-            readout: Mlp::new(
-                &mut rng,
-                &[d, h, h, 1],
-                Activation::Selu,
-                Activation::Identity,
-            ),
             config,
             scales: FeatureScales::unit(),
             normalizer: Normalizer::identity(),
-        }
-    }
-}
-
-impl Layer for OriginalRouteNet {
-    type Bound = BoundOriginal;
-
-    fn bind(&self, g: &mut Graph) -> BoundOriginal {
-        BoundOriginal {
-            gru_path: self.gru_path.bind(g),
-            gru_link: self.gru_link.bind(g),
-            readout: self.readout.bind(g),
+            gru_path,
+            gru_link,
+            gru_node,
+            readout,
+            gru_queue,
+            entities: PhantomData,
         }
     }
 
-    fn params(&self) -> Vec<&Matrix> {
-        let mut p = self.gru_path.params();
-        p.extend(self.gru_link.params());
-        p.extend(self.readout.params());
-        p
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut p = self.gru_path.params_mut();
-        p.extend(self.gru_link.params_mut());
-        p.extend(self.readout.params_mut());
-        p
-    }
-
-    fn bound_vars(bound: &BoundOriginal) -> Vec<Var> {
-        let mut v = GruCell::bound_vars(&bound.gru_path);
-        v.extend(GruCell::bound_vars(&bound.gru_link));
-        v.extend(Mlp::bound_vars(&bound.readout));
-        v
-    }
-}
-
-impl PathPredictor for OriginalRouteNet {
-    fn name(&self) -> &'static str {
-        "original"
-    }
-
-    fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    fn preprocessing(&self) -> (&FeatureScales, &Normalizer) {
-        (&self.scales, &self.normalizer)
-    }
-
-    fn fit_preprocessing(&mut self, train: &Dataset, min_packets: u64) {
-        self.scales = FeatureScales::fit(train);
-        let delays = train.all_delays(min_packets);
-        let positive: Vec<f64> = delays.into_iter().filter(|&d| d > 0.0).collect();
-        assert!(
-            !positive.is_empty(),
-            "training set has no positive delay labels"
-        );
-        self.normalizer = Normalizer::fit(&positive, true);
-    }
-
-    fn set_normalizer(&mut self, normalizer: Normalizer) {
-        self.normalizer = normalizer;
-    }
-
-    fn forward(&self, g: &mut Graph, bound: &BoundOriginal, plan: &SamplePlan) -> Var {
+    /// The forward pass shared by [`PathPredictor::forward`] (`fused`) and
+    /// [`PathPredictor::forward_unfused`].
+    fn propagate(
+        &self,
+        g: &mut Graph,
+        bound: &BoundRouteNet,
+        plan: &SamplePlan,
+        fused: bool,
+    ) -> Var {
         // Pooled copies: the plan may be a cached composition shared behind
-        // an Arc, so the tape takes its own (recycled) buffers; bits match
-        // `constant(clone())` exactly.
-        let mut path_state = g.constant_copy(&plan.path_init);
-        let mut link_state = g.constant_copy(&plan.link_init);
+        // an Arc, so the tape takes its own (recycled) buffers.
+        let mut states = States {
+            path: g.constant_copy(&plan.path_init),
+            link: g.constant_copy(&plan.link_init),
+            node: bound.gru_node.map(|_| g.constant_copy(&plan.node_init)),
+            queue: (bound.gru_queue.is_some() && plan.num_queues > 0)
+                .then(|| g.constant_copy(&plan.queue_init)),
+        };
+        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
+        let step = |g: &mut Graph, gru: &BoundGruCell, h: Var, x: Var| {
+            if fused {
+                gru.step_fused(g, h, x)
+            } else {
+                gru.step(g, h, x)
+            }
+        };
         for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, _, _) = path_sweep(
-                g,
-                &bound.gru_path,
-                &plan.original_csr,
-                path_state,
-                link_state,
-                None,
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                false,
-            );
-            path_state = new_path;
-            link_state = bound.gru_link.step_fused(g, link_state, link_acc);
+            let sweep = if fused {
+                path_sweep(g, &bound.gru_path, plan, states, positional)
+            } else {
+                path_sweep_unfused(g, &bound.gru_path, plan, states, positional)
+            };
+            states.path = sweep.path;
+            let node_input = states.node.map(|_| {
+                sweep.node.unwrap_or_else(|| {
+                    // Paper wording: element-wise sum of the (final) path
+                    // states of all paths traversing the node.
+                    let gathered = g.gather_rows(states.path, &plan.node_incidence_paths);
+                    g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
+                })
+            });
+            states.link = step(g, &bound.gru_link, states.link, sweep.link);
+            if let (Some(gru), Some(h), Some(x)) = (&bound.gru_node, states.node, node_input) {
+                states.node = Some(step(g, gru, h, x));
+            }
+            if let (Some(gru), Some(h), Some(x)) = (&bound.gru_queue, states.queue, sweep.queue) {
+                states.queue = Some(step(g, gru, h, x));
+            }
         }
-        bound.readout.forward(g, path_state)
-    }
-
-    fn forward_unfused(&self, g: &mut Graph, bound: &BoundOriginal, plan: &SamplePlan) -> Var {
-        let mut path_state = g.constant(plan.path_init.clone());
-        let mut link_state = g.constant(plan.link_init.clone());
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, _, _) = path_sweep_unfused(
-                g,
-                &bound.gru_path,
-                &plan.original_steps,
-                path_state,
-                link_state,
-                None,
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                false,
-            );
-            path_state = new_path;
-            link_state = bound.gru_link.step(g, link_state, link_acc);
-        }
-        bound.readout.forward(g, path_state)
+        bound.readout.forward(g, states.path)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Extended RouteNet
-// ---------------------------------------------------------------------------
+impl<E: EntitySet> Layer for RouteNet<E> {
+    type Bound = BoundRouteNet;
 
-/// The extended RouteNet of the paper: adds the node entity (`RNN_N`) and
-/// interleaves node states into the path sequences.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtendedRouteNet {
-    config: ModelConfig,
-    scales: FeatureScales,
-    normalizer: Normalizer,
-    gru_path: GruCell,
-    gru_link: GruCell,
-    gru_node: GruCell,
-    readout: Mlp,
-}
-
-/// Tape bindings for [`ExtendedRouteNet`].
-#[derive(Debug, Clone)]
-pub struct BoundExtended {
-    gru_path: BoundGruCell,
-    gru_link: BoundGruCell,
-    gru_node: BoundGruCell,
-    readout: BoundMlp,
-}
-
-impl ExtendedRouteNet {
-    /// Fresh model with Xavier-initialized weights.
-    pub fn new(config: ModelConfig) -> Self {
-        config.validate().expect("invalid model config");
-        let d = config.state_dim;
-        let h = config.readout_hidden;
-        let mut rng = Prng::new(config.seed);
-        Self {
-            gru_path: GruCell::new(&mut rng, d, d),
-            gru_link: GruCell::new(&mut rng, d, d),
-            gru_node: GruCell::new(&mut rng, d, d),
-            readout: Mlp::new(
-                &mut rng,
-                &[d, h, h, 1],
-                Activation::Selu,
-                Activation::Identity,
-            ),
-            config,
-            scales: FeatureScales::unit(),
-            normalizer: Normalizer::identity(),
-        }
-    }
-}
-
-impl Layer for ExtendedRouteNet {
-    type Bound = BoundExtended;
-
-    fn bind(&self, g: &mut Graph) -> BoundExtended {
-        BoundExtended {
+    fn bind(&self, g: &mut Graph) -> BoundRouteNet {
+        BoundRouteNet {
             gru_path: self.gru_path.bind(g),
             gru_link: self.gru_link.bind(g),
-            gru_node: self.gru_node.bind(g),
+            gru_node: self.gru_node.as_ref().map(|gru| gru.bind(g)),
             readout: self.readout.bind(g),
+            gru_queue: self.gru_queue.as_ref().map(|gru| gru.bind(g)),
         }
     }
 
     fn params(&self) -> Vec<&Matrix> {
         let mut p = self.gru_path.params();
         p.extend(self.gru_link.params());
-        p.extend(self.gru_node.params());
+        p.extend(self.gru_node.iter().flat_map(GruCell::params));
         p.extend(self.readout.params());
+        p.extend(self.gru_queue.iter().flat_map(GruCell::params));
         p
     }
 
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
         let mut p = self.gru_path.params_mut();
         p.extend(self.gru_link.params_mut());
-        p.extend(self.gru_node.params_mut());
+        p.extend(self.gru_node.iter_mut().flat_map(GruCell::params_mut));
         p.extend(self.readout.params_mut());
+        p.extend(self.gru_queue.iter_mut().flat_map(GruCell::params_mut));
         p
     }
 
-    fn bound_vars(bound: &BoundExtended) -> Vec<Var> {
+    fn bound_vars(bound: &BoundRouteNet) -> Vec<Var> {
         let mut v = GruCell::bound_vars(&bound.gru_path);
         v.extend(GruCell::bound_vars(&bound.gru_link));
-        v.extend(GruCell::bound_vars(&bound.gru_node));
+        v.extend(bound.gru_node.iter().flat_map(GruCell::bound_vars));
         v.extend(Mlp::bound_vars(&bound.readout));
+        v.extend(bound.gru_queue.iter().flat_map(GruCell::bound_vars));
         v
     }
 }
 
-impl PathPredictor for ExtendedRouteNet {
+impl<E: EntitySet> PathPredictor for RouteNet<E> {
     fn name(&self) -> &'static str {
-        "extended"
+        E::NAME
     }
 
     fn config(&self) -> &ModelConfig {
@@ -568,282 +545,85 @@ impl PathPredictor for ExtendedRouteNet {
         self.normalizer = normalizer;
     }
 
-    fn forward(&self, g: &mut Graph, bound: &BoundExtended, plan: &SamplePlan) -> Var {
-        // Pooled copies — see `OriginalRouteNet::forward`.
-        let mut path_state = g.constant_copy(&plan.path_init);
-        let mut link_state = g.constant_copy(&plan.link_init);
-        let mut node_state = g.constant_copy(&plan.node_init);
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, _) = path_sweep(
-                g,
-                &bound.gru_path,
-                &plan.extended_csr,
-                path_state,
-                link_state,
-                Some(node_state),
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                positional,
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
-                // Paper wording: element-wise sum of the (final) path states
-                // of all paths traversing the node.
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state = bound.gru_link.step_fused(g, link_state, link_acc);
-            node_state = bound.gru_node.step_fused(g, node_state, node_input);
-        }
-        bound.readout.forward(g, path_state)
+    fn forward(&self, g: &mut Graph, bound: &BoundRouteNet, plan: &SamplePlan) -> Var {
+        self.propagate(g, bound, plan, true)
     }
 
-    fn forward_unfused(&self, g: &mut Graph, bound: &BoundExtended, plan: &SamplePlan) -> Var {
-        let mut path_state = g.constant(plan.path_init.clone());
-        let mut link_state = g.constant(plan.link_init.clone());
-        let mut node_state = g.constant(plan.node_init.clone());
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, _) = path_sweep_unfused(
-                g,
-                &bound.gru_path,
-                &plan.extended_steps,
-                path_state,
-                link_state,
-                Some(node_state),
-                None,
-                plan.num_links,
-                plan.num_nodes,
-                0,
-                positional,
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state = bound.gru_link.step(g, link_state, link_acc);
-            node_state = bound.gru_node.step(g, node_state, node_input);
-        }
-        bound.readout.forward(g, path_state)
+    fn forward_unfused(&self, g: &mut Graph, bound: &BoundRouteNet, plan: &SamplePlan) -> Var {
+        self.propagate(g, bound, plan, false)
     }
 }
 
 // ---------------------------------------------------------------------------
-// QoS RouteNet (queue entity)
+// Persistence
 // ---------------------------------------------------------------------------
 
-/// The QoS-aware RouteNet: adds a per-(link, class) **queue entity**
-/// (`RNN_Q`) on top of the extended model, so the message passing sees the
-/// scheduler configuration (policy shares, class ranks) of every output
-/// port. On QoS plans the path sequence is 3-periodic (node, queue, link per
-/// hop); on legacy and single-class-FIFO plans `num_queues == 0`, no queue
-/// op is recorded, and the forward/backward tapes are **bitwise identical**
-/// to [`ExtendedRouteNet`] at the same seed — the shared parameters are
-/// drawn in the same `Prng` order and the queue GRU only afterwards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct QosRouteNet {
+/// The saved form of a [`RouteNet`]: the fields, names and order of the
+/// per-variant structs the generic model replaced, so their files load
+/// unchanged and a saved file is byte for byte what they wrote. An absent
+/// GRU is an absent field.
+#[derive(Serialize, Deserialize)]
+struct SavedRouteNet {
     config: ModelConfig,
     scales: FeatureScales,
     normalizer: Normalizer,
     gru_path: GruCell,
     gru_link: GruCell,
-    gru_node: GruCell,
+    gru_node: Option<GruCell>,
     readout: Mlp,
-    gru_queue: GruCell,
+    gru_queue: Option<GruCell>,
 }
 
-/// Tape bindings for [`QosRouteNet`].
-#[derive(Debug, Clone)]
-pub struct BoundQos {
-    gru_path: BoundGruCell,
-    gru_link: BoundGruCell,
-    gru_node: BoundGruCell,
-    readout: BoundMlp,
-    gru_queue: BoundGruCell,
-}
-
-impl QosRouteNet {
-    /// Fresh model with Xavier-initialized weights. The path/link/node GRUs
-    /// and the readout consume the seed stream in exactly
-    /// [`ExtendedRouteNet::new`]'s order, then the queue GRU draws from
-    /// whatever is left: at equal seed the shared parameters are bitwise
-    /// equal, which is what makes the FIFO golden-equivalence tests exact.
-    pub fn new(config: ModelConfig) -> Self {
-        config.validate().expect("invalid model config");
-        let d = config.state_dim;
-        let h = config.readout_hidden;
-        let mut rng = Prng::new(config.seed);
-        Self {
-            gru_path: GruCell::new(&mut rng, d, d),
-            gru_link: GruCell::new(&mut rng, d, d),
-            gru_node: GruCell::new(&mut rng, d, d),
-            readout: Mlp::new(
-                &mut rng,
-                &[d, h, h, 1],
-                Activation::Selu,
-                Activation::Identity,
-            ),
-            gru_queue: GruCell::new(&mut rng, d, d),
-            config,
-            scales: FeatureScales::unit(),
-            normalizer: Normalizer::identity(),
-        }
-    }
-}
-
-impl Layer for QosRouteNet {
-    type Bound = BoundQos;
-
-    fn bind(&self, g: &mut Graph) -> BoundQos {
-        // Queue GRU bound last: on FIFO plans the tape prefix (params and
-        // compute ops alike) matches ExtendedRouteNet node for node.
-        BoundQos {
-            gru_path: self.gru_path.bind(g),
-            gru_link: self.gru_link.bind(g),
-            gru_node: self.gru_node.bind(g),
-            readout: self.readout.bind(g),
-            gru_queue: self.gru_queue.bind(g),
-        }
-    }
-
-    fn params(&self) -> Vec<&Matrix> {
-        let mut p = self.gru_path.params();
-        p.extend(self.gru_link.params());
-        p.extend(self.gru_node.params());
-        p.extend(self.readout.params());
-        p.extend(self.gru_queue.params());
-        p
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        let mut p = self.gru_path.params_mut();
-        p.extend(self.gru_link.params_mut());
-        p.extend(self.gru_node.params_mut());
-        p.extend(self.readout.params_mut());
-        p.extend(self.gru_queue.params_mut());
-        p
-    }
-
-    fn bound_vars(bound: &BoundQos) -> Vec<Var> {
-        let mut v = GruCell::bound_vars(&bound.gru_path);
-        v.extend(GruCell::bound_vars(&bound.gru_link));
-        v.extend(GruCell::bound_vars(&bound.gru_node));
-        v.extend(Mlp::bound_vars(&bound.readout));
-        v.extend(GruCell::bound_vars(&bound.gru_queue));
-        v
-    }
-}
-
-impl PathPredictor for QosRouteNet {
-    fn name(&self) -> &'static str {
-        "qos"
-    }
-
-    fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    fn preprocessing(&self) -> (&FeatureScales, &Normalizer) {
-        (&self.scales, &self.normalizer)
-    }
-
-    fn fit_preprocessing(&mut self, train: &Dataset, min_packets: u64) {
-        self.scales = FeatureScales::fit(train);
-        let delays = train.all_delays(min_packets);
-        let positive: Vec<f64> = delays.into_iter().filter(|&d| d > 0.0).collect();
-        assert!(
-            !positive.is_empty(),
-            "training set has no positive delay labels"
-        );
-        self.normalizer = Normalizer::fit(&positive, true);
-    }
-
-    fn set_normalizer(&mut self, normalizer: Normalizer) {
-        self.normalizer = normalizer;
-    }
-
-    fn forward(&self, g: &mut Graph, bound: &BoundQos, plan: &SamplePlan) -> Var {
-        // Pooled copies — see `OriginalRouteNet::forward`.
-        let mut path_state = g.constant_copy(&plan.path_init);
-        let mut link_state = g.constant_copy(&plan.link_init);
-        let mut node_state = g.constant_copy(&plan.node_init);
-        // Queue states exist only on QoS plans: when `num_queues == 0` no
-        // queue op of any kind is recorded, keeping the tape bitwise equal
-        // to the extended model's.
-        let mut queue_state = (plan.num_queues > 0).then(|| g.constant_copy(&plan.queue_init));
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, queue_acc) = path_sweep(
-                g,
-                &bound.gru_path,
-                &plan.extended_csr,
-                path_state,
-                link_state,
-                Some(node_state),
-                queue_state,
-                plan.num_links,
-                plan.num_nodes,
-                plan.num_queues,
-                positional,
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
-            };
-            link_state = bound.gru_link.step_fused(g, link_state, link_acc);
-            node_state = bound.gru_node.step_fused(g, node_state, node_input);
-            if let (Some(qs), Some(qa)) = (queue_state, queue_acc) {
-                queue_state = Some(bound.gru_queue.step_fused(g, qs, qa));
+impl<E: EntitySet> Serialize for RouteNet<E> {
+    fn serialize_value(&self) -> Value {
+        let saved = SavedRouteNet {
+            config: self.config.clone(),
+            scales: self.scales.clone(),
+            normalizer: self.normalizer.clone(),
+            gru_path: self.gru_path.clone(),
+            gru_link: self.gru_link.clone(),
+            gru_node: self.gru_node.clone(),
+            readout: self.readout.clone(),
+            gru_queue: self.gru_queue.clone(),
+        };
+        match saved.serialize_value() {
+            Value::Object(mut fields) => {
+                // Only the optional GRUs can be null at the top level.
+                fields.retain(|(_, v)| *v != Value::Null);
+                Value::Object(fields)
             }
+            other => other,
         }
-        bound.readout.forward(g, path_state)
     }
+}
 
-    fn forward_unfused(&self, g: &mut Graph, bound: &BoundQos, plan: &SamplePlan) -> Var {
-        let mut path_state = g.constant(plan.path_init.clone());
-        let mut link_state = g.constant(plan.link_init.clone());
-        let mut node_state = g.constant(plan.node_init.clone());
-        let mut queue_state = (plan.num_queues > 0).then(|| g.constant(plan.queue_init.clone()));
-        let positional = self.config.node_update == NodeUpdate::PositionalMessages;
-        for _ in 0..self.config.mp_iterations {
-            let (new_path, link_acc, node_acc, queue_acc) = path_sweep_unfused(
-                g,
-                &bound.gru_path,
-                &plan.extended_steps,
-                path_state,
-                link_state,
-                Some(node_state),
-                queue_state,
-                plan.num_links,
-                plan.num_nodes,
-                plan.num_queues,
-                positional,
-            );
-            path_state = new_path;
-            let node_input = if positional {
-                node_acc.expect("positional sweep collects node messages")
-            } else {
-                let gathered = g.gather_rows(path_state, &plan.node_incidence_paths);
-                g.segment_sum(gathered, &plan.node_incidence_nodes, plan.num_nodes)
+impl<'de, E: EntitySet> Deserialize<'de> for RouteNet<E> {
+    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
+        let saved = SavedRouteNet::deserialize_value(v)?;
+        let found = (saved.gru_node.is_some(), saved.gru_queue.is_some());
+        if found != (E::NODES, E::QUEUES) {
+            let variant = match found {
+                (false, false) => Original::NAME,
+                (true, false) => Extended::NAME,
+                (true, true) => Qos::NAME,
+                (false, true) => "queues-without-nodes",
             };
-            link_state = bound.gru_link.step(g, link_state, link_acc);
-            node_state = bound.gru_node.step(g, node_state, node_input);
-            if let (Some(qs), Some(qa)) = (queue_state, queue_acc) {
-                queue_state = Some(bound.gru_queue.step(g, qs, qa));
-            }
+            return Err(DeError::new(format!(
+                "saved model is the `{variant}` RouteNet variant, not `{}`",
+                E::NAME
+            )));
         }
-        bound.readout.forward(g, path_state)
+        Ok(Self {
+            config: saved.config,
+            scales: saved.scales,
+            normalizer: saved.normalizer,
+            gru_path: saved.gru_path,
+            gru_link: saved.gru_link,
+            gru_node: saved.gru_node,
+            readout: saved.readout,
+            gru_queue: saved.gru_queue,
+            entities: PhantomData,
+        })
     }
 }
 
@@ -948,111 +728,11 @@ mod tests {
     }
 
     #[test]
-    fn forward_gradients_reach_every_parameter_extended() {
-        let ds = toy_dataset(1);
-        let mut model = ExtendedRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = model.bind(&mut g);
-        let pred = model.forward(&mut g, &bound, &plan);
-        let reliable = g.gather_rows(pred, &plan.reliable_idx);
-        let target = g.constant(plan.reliable_targets_norm());
-        let loss = g.mse(reliable, target);
-        g.backward(loss);
-        let grads = model.grads(&g, &bound);
-        let nonzero = grads.iter().filter(|m| m.max_abs() > 0.0).count();
-        // All kernels should receive gradient; some biases may be zero by
-        // symmetry but the vast majority must be live.
-        assert!(
-            nonzero >= grads.len() - 2,
-            "only {nonzero}/{} parameter tensors received gradient",
-            grads.len()
-        );
-    }
-
-    #[test]
-    fn forward_gradients_reach_every_parameter_original() {
-        let ds = toy_dataset(1);
-        let mut model = OriginalRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = model.bind(&mut g);
-        let pred = model.forward(&mut g, &bound, &plan);
-        let reliable = g.gather_rows(pred, &plan.reliable_idx);
-        let target = g.constant(plan.reliable_targets_norm());
-        let loss = g.mse(reliable, target);
-        g.backward(loss);
-        let grads = model.grads(&g, &bound);
-        let nonzero = grads.iter().filter(|m| m.max_abs() > 0.0).count();
-        assert!(
-            nonzero >= grads.len() - 2,
-            "only {nonzero}/{} live grads",
-            grads.len()
-        );
-    }
-
-    #[test]
-    fn fused_forward_matches_unfused_reference() {
-        let ds = toy_dataset(1);
-        for node_update in [
-            NodeUpdate::PositionalMessages,
-            NodeUpdate::FinalPathStateSum,
-        ] {
-            let mut model = ExtendedRouteNet::new(ModelConfig {
-                node_update,
-                ..small_config()
-            });
-            model.fit_preprocessing(&ds, 5);
-            let plan = model.plan(&ds.samples[0]);
-            let mut g = Graph::new();
-            let bound = model.bind(&mut g);
-            let fused = model.forward(&mut g, &bound, &plan);
-            let unfused = model.forward_unfused(&mut g, &bound, &plan);
-            assert!(
-                g.value(fused).approx_eq(g.value(unfused), 1e-5),
-                "fused/unfused diverged for {node_update:?}"
-            );
-        }
-        let mut orig = OriginalRouteNet::new(small_config());
-        orig.fit_preprocessing(&ds, 5);
-        let plan = orig.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = orig.bind(&mut g);
-        let fused = orig.forward(&mut g, &bound, &plan);
-        let unfused = orig.forward_unfused(&mut g, &bound, &plan);
-        assert!(g.value(fused).approx_eq(g.value(unfused), 1e-5));
-    }
-
-    #[test]
-    fn predict_batch_matches_per_sample_predict() {
-        let ds = toy_dataset(3);
-        let mut model = ExtendedRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
-        let batched = model.predict_batch(&plans);
-        assert_eq!(batched.len(), plans.len());
-        for (b, plan) in plans.iter().enumerate() {
-            let single = model.predict(plan);
-            assert_eq!(batched[b].len(), single.len());
-            for (x, y) in batched[b].iter().zip(&single) {
-                let denom = y.abs().max(1e-12);
-                assert!(
-                    ((x - y).abs() / denom) < 1e-5,
-                    "sample {b}: batched {x} vs single {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn predict_batch_of_nothing_returns_nothing() {
         let ds = toy_dataset(1);
         let mut model = ExtendedRouteNet::new(small_config());
         model.fit_preprocessing(&ds, 5);
         assert!(model.predict_batch(&[]).is_empty());
-        assert!(model.predict_batch_refs(&[]).is_empty());
     }
 
     #[test]
@@ -1082,17 +762,6 @@ mod tests {
         let a = model.predict(&plan);
         let b = model.predict(&plan);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_predictions() {
-        let ds = toy_dataset(1);
-        let mut model = ExtendedRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let json = serde_json::to_string(&model).unwrap();
-        let back: ExtendedRouteNet = serde_json::from_str(&json).unwrap();
-        assert_eq!(model.predict(&plan), back.predict(&plan));
     }
 
     #[test]
@@ -1158,22 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_model_fused_forward_matches_unfused_reference() {
-        let ds = qos_dataset(1);
-        let mut model = QosRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = model.bind(&mut g);
-        let fused = model.forward(&mut g, &bound, &plan);
-        let unfused = model.forward_unfused(&mut g, &bound, &plan);
-        assert!(
-            g.value(fused).approx_eq(g.value(unfused), 1e-5),
-            "fused/unfused diverged on a QoS plan"
-        );
-    }
-
-    #[test]
     fn qos_model_reacts_to_scheduling_policy() {
         // Same traffic, same routing — only the scheduler changes. The queue
         // entity is the only channel through which the model can see that.
@@ -1194,34 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn qos_model_gradients_reach_the_queue_gru() {
-        let ds = qos_dataset(1);
-        let mut model = QosRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
-        let plan = model.plan(&ds.samples[0]);
-        let mut g = Graph::new();
-        let bound = model.bind(&mut g);
-        let pred = model.forward(&mut g, &bound, &plan);
-        let reliable = g.gather_rows(pred, &plan.reliable_idx);
-        let target = g.constant(plan.reliable_targets_norm());
-        let loss = g.mse(reliable, target);
-        g.backward(loss);
-        let grads = model.grads(&g, &bound);
-        let nonzero = grads.iter().filter(|m| m.max_abs() > 0.0).count();
-        assert!(
-            nonzero >= grads.len() - 2,
-            "only {nonzero}/{} parameter tensors received gradient",
-            grads.len()
-        );
-        // The queue GRU specifically (the last 6 tensors) must be live.
-        let queue_grads = &grads[grads.len() - 6..];
-        assert!(
-            queue_grads.iter().any(|m| m.max_abs() > 0.0),
-            "queue GRU received no gradient on a QoS plan"
-        );
-    }
-
-    #[test]
     fn qos_model_is_bitwise_extended_on_legacy_plans() {
         // Same seed => shared parameters are drawn identically; a legacy
         // plan records no queue ops => predictions are bitwise equal.
@@ -1236,22 +861,102 @@ mod tests {
         assert_eq!(qos.predict(&plan_q), ext.predict(&plan_e));
     }
 
-    #[test]
-    fn qos_model_serde_round_trip_preserves_predictions() {
-        let ds = qos_dataset(1);
-        let mut model = QosRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
+    /// A model of entity set `E` with preprocessing fitted on `ds`.
+    fn fitted<E: EntitySet>(config: ModelConfig, ds: &Dataset) -> RouteNet<E> {
+        let mut model = RouteNet::<E>::new(config);
+        model.fit_preprocessing(ds, 5);
+        model
+    }
+
+    fn gradients_reach_every_parameter<E: EntitySet>(ds: &Dataset) {
+        let model = fitted::<E>(small_config(), ds);
         let plan = model.plan(&ds.samples[0]);
-        let json = serde_json::to_string(&model).unwrap();
-        let back: QosRouteNet = serde_json::from_str(&json).unwrap();
-        assert_eq!(model.predict(&plan), back.predict(&plan));
+        let mut g = Graph::new();
+        let bound = model.bind(&mut g);
+        let pred = model.forward(&mut g, &bound, &plan);
+        let reliable = g.gather_rows(pred, &plan.reliable_idx);
+        let target = g.constant(plan.reliable_targets_norm());
+        let loss = g.mse(reliable, target);
+        g.backward(loss);
+        let grads = model.grads(&g, &bound);
+        let nonzero = grads.iter().filter(|m| m.max_abs() > 0.0).count();
+        // All kernels should receive gradient; some biases may be zero by
+        // symmetry but the vast majority must be live.
+        assert!(
+            nonzero >= grads.len() - 2,
+            "{}: only {nonzero}/{} parameter tensors received gradient",
+            E::NAME,
+            grads.len()
+        );
+        if E::QUEUES {
+            // The queue GRU specifically (the last 6 tensors) must be live.
+            let queue_grads = &grads[grads.len() - 6..];
+            assert!(
+                queue_grads.iter().any(|m| m.max_abs() > 0.0),
+                "queue GRU received no gradient on a QoS plan"
+            );
+        }
     }
 
     #[test]
-    fn qos_predict_batch_matches_per_sample_predict() {
-        let ds = qos_dataset(3);
-        let mut model = QosRouteNet::new(small_config());
-        model.fit_preprocessing(&ds, 5);
+    fn forward_gradients_reach_every_parameter() {
+        gradients_reach_every_parameter::<Original>(&toy_dataset(1));
+        gradients_reach_every_parameter::<Extended>(&toy_dataset(1));
+        gradients_reach_every_parameter::<Qos>(&qos_dataset(1));
+    }
+
+    fn fused_matches_unfused<E: EntitySet>(ds: &Dataset) {
+        for node_update in [
+            NodeUpdate::PositionalMessages,
+            NodeUpdate::FinalPathStateSum,
+        ] {
+            let config = ModelConfig {
+                node_update,
+                ..small_config()
+            };
+            let model = fitted::<E>(config, ds);
+            let plan = model.plan(&ds.samples[0]);
+            let mut g = Graph::new();
+            let bound = model.bind(&mut g);
+            let fused = model.forward(&mut g, &bound, &plan);
+            let unfused = model.forward_unfused(&mut g, &bound, &plan);
+            assert!(
+                g.value(fused).approx_eq(g.value(unfused), 1e-5),
+                "{}: fused/unfused diverged for {node_update:?} (queues: {})",
+                E::NAME,
+                plan.num_queues
+            );
+        }
+    }
+
+    #[test]
+    fn fused_forward_matches_unfused_reference() {
+        // Every variant on a legacy plan and on a QoS plan, whose queue
+        // (and, for the original model, node) positions it may skip.
+        for ds in [toy_dataset(1), qos_dataset(1)] {
+            fused_matches_unfused::<Original>(&ds);
+            fused_matches_unfused::<Extended>(&ds);
+            fused_matches_unfused::<Qos>(&ds);
+        }
+    }
+
+    fn serde_round_trip<E: EntitySet>(ds: &Dataset) {
+        let model = fitted::<E>(small_config(), ds);
+        let plan = model.plan(&ds.samples[0]);
+        let json = serde_json::to_string(&model).unwrap();
+        let back: RouteNet<E> = serde_json::from_str(&json).unwrap();
+        assert_eq!(model.predict(&plan), back.predict(&plan), "{}", E::NAME);
+    }
+
+    #[test]
+    fn serde_round_trip_preserves_predictions() {
+        serde_round_trip::<Original>(&toy_dataset(1));
+        serde_round_trip::<Extended>(&toy_dataset(1));
+        serde_round_trip::<Qos>(&qos_dataset(1));
+    }
+
+    fn batch_matches_per_sample<E: EntitySet>(ds: &Dataset) {
+        let model = fitted::<E>(small_config(), ds);
         let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
         let batched = model.predict_batch(&plans);
         assert_eq!(batched.len(), plans.len());
@@ -1262,9 +967,43 @@ mod tests {
                 let denom = y.abs().max(1e-12);
                 assert!(
                     ((x - y).abs() / denom) < 1e-5,
-                    "sample {b}: batched {x} vs single {y}"
+                    "{} sample {b}: batched {x} vs single {y}",
+                    E::NAME
                 );
             }
         }
+    }
+
+    #[test]
+    fn predict_batch_matches_per_sample_predict() {
+        batch_matches_per_sample::<Original>(&toy_dataset(3));
+        batch_matches_per_sample::<Extended>(&toy_dataset(3));
+        batch_matches_per_sample::<Qos>(&qos_dataset(3));
+    }
+
+    fn ignores_queue_entities<E: EntitySet>(ds: &Dataset) {
+        let model = fitted::<E>(small_config(), ds);
+        let qos_plan = model.plan(&ds.samples[0]);
+        assert!(qos_plan.num_queues > 0, "QoS sample must have queues");
+        let mut legacy = ds.samples[0].clone();
+        legacy.qos = None;
+        let legacy_plan = model.plan(&legacy);
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(model.predict(&qos_plan)),
+            bits(model.predict(&legacy_plan)),
+            "{} must skip the queue positions of a QoS plan",
+            E::NAME
+        );
+    }
+
+    #[test]
+    fn models_without_queues_predict_qos_samples_as_legacy_ones() {
+        // A QoS scenario sent to a model without a queue entity is read
+        // without its queues — bit for bit the scenario with `qos = None` —
+        // the same way the original model reads a plan without its nodes.
+        let ds = qos_dataset(1);
+        ignores_queue_entities::<Original>(&ds);
+        ignores_queue_entities::<Extended>(&ds);
     }
 }

@@ -170,14 +170,13 @@ impl SamplePlan {
             .f32s(self.link_init.as_slice())
             .f32s(self.node_init.as_slice())
             .f32s(self.queue_init.as_slice());
-        for csr in [&self.extended_csr, &self.original_csr] {
-            fp.usize(csr.len())
-                .usizes(&csr.offsets)
-                .usizes(&csr.ids_flat)
-                .usizes(&csr.active_offsets)
-                .usizes(&csr.active_rows_flat)
-                .usizes(&csr.active_ids_flat);
-        }
+        let csr = &self.csr;
+        fp.usize(csr.len())
+            .usizes(&csr.offsets)
+            .usizes(&csr.ids_flat)
+            .usizes(&csr.active_offsets)
+            .usizes(&csr.active_rows_flat)
+            .usizes(&csr.active_ids_flat);
         fp.usizes(&self.node_incidence_paths)
             .usizes(&self.node_incidence_nodes);
         fp.finish()
@@ -202,20 +201,19 @@ impl SamplePlan {
             for &(s, d) in &self.pairs {
                 fp.usize(s).usize(d);
             }
-            for csr in [&self.extended_csr, &self.original_csr] {
-                fp.usize(csr.len())
-                    .usizes(&csr.offsets)
-                    .usizes(&csr.ids_flat)
-                    .usizes(&csr.active_offsets)
-                    .usizes(&csr.active_rows_flat)
-                    .usizes(&csr.active_ids_flat);
-                for &kind in &csr.kinds {
-                    fp.u64(match kind {
-                        crate::entities::EntityKind::Link => 0,
-                        crate::entities::EntityKind::Node => 1,
-                        crate::entities::EntityKind::Queue => 2,
-                    });
-                }
+            let csr = &self.csr;
+            fp.usize(csr.len())
+                .usizes(&csr.offsets)
+                .usizes(&csr.ids_flat)
+                .usizes(&csr.active_offsets)
+                .usizes(&csr.active_rows_flat)
+                .usizes(&csr.active_ids_flat);
+            for &kind in &csr.kinds {
+                fp.u64(match kind {
+                    crate::entities::EntityKind::Link => 0,
+                    crate::entities::EntityKind::Node => 1,
+                    crate::entities::EntityKind::Queue => 2,
+                });
             }
             fp.usizes(&self.node_incidence_paths)
                 .usizes(&self.node_incidence_nodes);

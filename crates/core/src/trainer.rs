@@ -241,6 +241,16 @@ fn gather_reliable(g: &mut Graph, pred: rn_autograd::Var, plan: &SamplePlan) -> 
     g.gather_rows(pred, plan.reliable_idx_shared())
 }
 
+/// The reliable rows' normalized targets as a constant in a pooled buffer
+/// (the values of [`SamplePlan::reliable_targets_norm`]).
+fn reliable_targets(g: &mut Graph, plan: &SamplePlan) -> rn_autograd::Var {
+    g.constant_with(plan.reliable_idx.len(), 1, |m| {
+        for (k, &row) in plan.reliable_idx.iter().enumerate() {
+            m.set(k, 0, plan.targets_norm.get(row, 0));
+        }
+    })
+}
+
 /// Forward + loss on one plan; returns `(loss, grads)` or `None` when the
 /// plan has no reliable labels. The legacy per-sample gradient path.
 fn sample_gradients<M: PathPredictor>(
@@ -257,7 +267,7 @@ fn sample_gradients<M: PathPredictor>(
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, plan);
     let reliable = gather_reliable(&mut g, pred, plan);
-    let target = g.constant(plan.reliable_targets_norm());
+    let target = reliable_targets(&mut g, plan);
     let loss_node = loss.apply(&mut g, reliable, target);
     let loss_value = g.value(loss_node).get(0, 0) as f64;
     fwd.finish();
@@ -276,7 +286,7 @@ fn sample_loss<M: PathPredictor>(model: &M, plan: &SamplePlan, loss: Loss) -> Op
     let bound = model.bind(&mut g);
     let pred = model.forward(&mut g, &bound, plan);
     let reliable = gather_reliable(&mut g, pred, plan);
-    let target = g.constant(plan.reliable_targets_norm());
+    let target = reliable_targets(&mut g, plan);
     let loss_node = loss.apply(&mut g, reliable, target);
     Some(g.value(loss_node).get(0, 0) as f64)
 }
@@ -304,7 +314,7 @@ fn megabatch_gradients<M: PathPredictor>(
     let bound = model.bind(g);
     let pred = model.forward(g, &bound, &mb.plan);
     let reliable = gather_reliable(g, pred, &mb.plan);
-    let target = g.constant(mb.plan.reliable_targets_norm());
+    let target = reliable_targets(g, &mb.plan);
     let weights = Matrix::column_vector(
         &mb.sample_mean_weights
             .iter()
@@ -370,7 +380,7 @@ fn megabatch_loss<M: PathPredictor>(
     let bound = model.bind(g);
     let pred = model.forward(g, &bound, &mb.plan);
     let reliable = gather_reliable(g, pred, &mb.plan);
-    let target = g.constant(mb.plan.reliable_targets_norm());
+    let target = reliable_targets(g, &mb.plan);
     let weights = Matrix::column_vector(&mb.sample_mean_weights);
     let loss_node = loss.apply_weighted(g, reliable, target, &weights);
     (g.value(loss_node).get(0, 0) as f64, mb.reliable_samples)
@@ -1094,6 +1104,50 @@ mod tests {
                 bits(b),
                 "gradient {i} differs from the in-order fold"
             );
+        }
+    }
+
+    #[test]
+    fn reused_tape_pool_stays_flat_across_predicts_and_training_steps() {
+        // Every buffer a predict or a training step takes from a warm tape
+        // must come back to it on reset: the free list neither grows (each
+        // reuse would then leak, and a long-lived serving tape grows without
+        // bound) nor shrinks.
+        let ds = toy_dataset(2, 71);
+        let mut model = ExtendedRouteNet::new(ModelConfig {
+            state_dim: 8,
+            mp_iterations: 2,
+            readout_hidden: 8,
+            ..ModelConfig::default()
+        });
+        model.fit_preprocessing(&ds, 1);
+        let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
+        let comp = ComposedMegabatch::compose(&plans.iter().collect::<Vec<_>>()).unwrap();
+        let stages = rn_trace::StageRecorder::new(train_trace::STAGES);
+        let predict = |g: &mut Graph| {
+            model.predict_with(g, &plans[0]);
+        };
+        let predict_batch = |g: &mut Graph| {
+            model.predict_megabatch_with(g, comp.megabatch());
+        };
+        let train_step = |g: &mut Graph| {
+            megabatch_gradients(&model, comp.megabatch(), Loss::Mse, 2, g, &stages)
+                .expect("labelled megabatch");
+        };
+        for (what, run) in [
+            ("predict", &predict as &dyn Fn(&mut Graph)),
+            ("megabatch predict", &predict_batch),
+            ("training step", &train_step),
+        ] {
+            let mut g = Graph::new();
+            run(&mut g);
+            g.reset();
+            let warm = g.pooled_buffers();
+            for round in 0..5 {
+                run(&mut g);
+                g.reset();
+                assert_eq!(g.pooled_buffers(), warm, "{what}, round {round}");
+            }
         }
     }
 

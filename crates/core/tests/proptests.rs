@@ -44,7 +44,7 @@ proptest! {
         let plan = build_plan(&sample, &config);
         prop_assert_eq!(plan.n_paths, n * (n - 1));
         // Every active position's entity id is in range for its kind.
-        for step in plan.extended_steps.iter() {
+        for step in plan.steps.iter() {
             for (row, &id) in step.ids.iter().enumerate() {
                 if step.mask.get(row, 0) > 0.0 {
                     match step.kind {
@@ -198,24 +198,20 @@ proptest! {
                 prop_assert_eq!(&a.pairs, &b.pairs);
                 prop_assert_eq!(&a.node_incidence_paths, &b.node_incidence_paths);
                 prop_assert_eq!(&a.node_incidence_nodes, &b.node_incidence_nodes);
-                for (x, y) in [
-                    (&a.extended_csr, &b.extended_csr),
-                    (&a.original_csr, &b.original_csr),
-                ] {
-                    prop_assert_eq!(&x.kinds, &y.kinds);
-                    prop_assert_eq!(&x.active, &y.active);
-                    prop_assert_eq!(&x.offsets, &y.offsets);
-                    prop_assert_eq!(&x.ids_flat, &y.ids_flat);
-                    prop_assert_eq!(&x.active_offsets, &y.active_offsets);
-                    prop_assert_eq!(&x.active_rows_flat, &y.active_rows_flat);
-                    prop_assert_eq!(&x.active_ids_flat, &y.active_ids_flat);
-                }
+                let (x, y) = (&a.csr, &b.csr);
+                prop_assert_eq!(&x.kinds, &y.kinds);
+                prop_assert_eq!(&x.active, &y.active);
+                prop_assert_eq!(&x.offsets, &y.offsets);
+                prop_assert_eq!(&x.ids_flat, &y.ids_flat);
+                prop_assert_eq!(&x.active_offsets, &y.active_offsets);
+                prop_assert_eq!(&x.active_rows_flat, &y.active_rows_flat);
+                prop_assert_eq!(&x.active_ids_flat, &y.active_ids_flat);
                 // And composing from either yields one identical structure.
                 let mb_a = routenet::entities::build_megabatch(&[a, a]);
                 let mb_b = routenet::entities::build_megabatch(&[b, b]);
                 prop_assert_eq!(
-                    &mb_a.plan.extended_csr.ids_flat,
-                    &mb_b.plan.extended_csr.ids_flat
+                    &mb_a.plan.csr.ids_flat,
+                    &mb_b.plan.csr.ids_flat
                 );
             }
         }

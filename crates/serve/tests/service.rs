@@ -625,3 +625,45 @@ fn hot_swap_refuses_non_finite_weights_and_keeps_serving() {
     }
     service.shutdown();
 }
+
+#[test]
+fn qos_scenario_sent_to_an_extended_service_is_answered_without_its_queues() {
+    // The extended model has no queue entity: it reads a two-class QoS
+    // scenario's plan without the queue positions, exactly as it reads the
+    // same scenario stripped of its QoS spec — and the worker never panics.
+    let config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 30.0,
+            warmup_s: 5.0,
+            ..SimConfig::default()
+        },
+        qos: Some(rn_dataset::QosGenConfig::two_class_mix()),
+        ..GeneratorConfig::default()
+    };
+    let ds = generate(&topologies::toy5(), &config, 37, 1);
+    let model = fitted_model(&ds, 1);
+    let sample = &ds.samples[0];
+    assert!(
+        model.plan(sample).num_queues > 0,
+        "scenario must have queues"
+    );
+    let mut legacy = sample.clone();
+    legacy.qos = None;
+    let expected = model.predict(&model.plan(&legacy));
+
+    let service = Service::start(
+        model,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let handle = service.handle();
+    let (delays, _) = handle.predict_sample(sample).expect("QoS predict");
+    assert_eq!(bits(&delays), bits(&expected));
+    assert!(delays.iter().all(|d| d.is_finite() && *d > 0.0));
+    let m = handle.metrics();
+    assert_eq!(m.worker_panics, 0);
+    assert_eq!(m.errors, 0);
+    service.shutdown();
+}

@@ -14,7 +14,8 @@
 //! - [`rn_netsim`] — the packet-level discrete-event simulator (ground truth).
 //! - [`rn_qtheory`] — analytical M/M/1(/K) baselines.
 //! - [`rn_dataset`] — dataset schema, generation, normalization and IO.
-//! - [`routenet`] — the paper's contribution: original and extended RouteNet.
+//! - [`routenet`] — the paper's contribution: RouteNet over an entity set
+//!   (original, extended with nodes, QoS with nodes and queues).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every figure.

@@ -21,7 +21,7 @@ use rn_nn::Layer;
 use rn_tensor::Matrix;
 use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
-use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
+use routenet::{ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, SamplePlan};
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
@@ -267,4 +267,79 @@ fn inplace_inference_is_bitwise_identical_to_copying_forward() {
             assert!(rel < 1e-5, "sample {b}: batched {x} vs single {y}");
         }
     }
+}
+
+/// Check `predictions` against the fixture `name` under `tests/fixtures/`
+/// at the 1e-5 relative tolerance, or rewrite it under `RN_REGEN_GOLDEN`.
+fn check_fixture(name: &str, predictions: &[f64]) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    if std::env::var("RN_REGEN_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, serde_json::to_string(&predictions.to_vec()).unwrap()).unwrap();
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); run with RN_REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    let recorded: Vec<f64> = serde_json::from_str(&text).unwrap();
+    let worst = max_rel_diff(predictions, &recorded);
+    assert!(
+        worst < 1e-5,
+        "predictions drifted from {name}: max rel diff {worst:e}"
+    );
+}
+
+/// The golden model configuration, shared by every variant's fixture.
+fn golden_config() -> ModelConfig {
+    ModelConfig {
+        state_dim: 16,
+        mp_iterations: 4,
+        readout_hidden: 16,
+        seed: 7,
+        ..ModelConfig::default()
+    }
+}
+
+#[test]
+fn original_predictions_match_recorded_fixture() {
+    // The links-only model on the frozen `golden_setup` scenario.
+    let gen_config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 60.0,
+            warmup_s: 10.0,
+            ..SimConfig::default()
+        },
+        ..GeneratorConfig::default()
+    };
+    let ds = generate(&topologies::toy5(), &gen_config, 20_190_101, 1);
+    let mut model = OriginalRouteNet::new(golden_config());
+    model.fit_preprocessing(&ds, 5);
+    let plan = model.plan(&ds.samples[0]);
+    check_fixture("golden_original_toy5.json", &model.predict(&plan));
+}
+
+#[test]
+fn qos_predictions_match_recorded_fixture() {
+    // The queue-entity model on a frozen two-class toy5 scenario.
+    let gen_config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 30.0,
+            warmup_s: 5.0,
+            ..SimConfig::default()
+        },
+        qos: Some(rn_dataset::QosGenConfig::two_class_mix()),
+        ..GeneratorConfig::default()
+    };
+    let ds = generate(&topologies::toy5(), &gen_config, 20_190_103, 1);
+    let mut model = QosRouteNet::new(golden_config());
+    model.fit_preprocessing(&ds, 5);
+    let plan = model.plan(&ds.samples[0]);
+    assert!(plan.num_queues > 0, "the scenario must schedule classes");
+    check_fixture("golden_qos_toy5.json", &model.predict(&plan));
 }
