@@ -17,22 +17,24 @@
 //! alternating per round, so machine drift cancels out of their ratio
 //! (`megabatch_vs_fused_tape_reuse`, > 1 = megabatch slower).
 //!
-//! The composition-layer family measures the batch scheduler's steady state:
+//! The composition-layer family measures what the trainer's prefetch lane
+//! hides:
 //!
-//! - `compose/fresh_build` — one `build_megabatch` (what the pre-scheduler
-//!   trainer paid EVERY step, and what a serving worker pays on a
-//!   composition-cache miss);
+//! - `compose/fresh_build` — one `build_megabatch` (what the trainer's
+//!   background lane pays per megabatch, and what a serving worker pays on
+//!   a composition-cache miss);
 //! - `compose/cached_refill` — rewriting the features of a cached
-//!   composition (the cache-hit path);
-//! - `after/megabatch_fresh_compose` — compose + step: the epoch-1 /
-//!   pre-composition-layer per-step cost;
+//!   composition (the serving cache-hit path);
+//! - `after/megabatch_fresh_compose` — compose + step: a step whose batch
+//!   is composed inline, like the first batch of an epoch;
 //! - `after/megabatch_precomposed` — the same step on the same tape with a
-//!   pre-composed megabatch: the epoch≥2 steady state, per-step structure
-//!   work eliminated. The two are measured back to back on one tape so the
+//!   pre-composed megabatch: a step whose composition the prefetch lane
+//!   finished in time. The two are measured back to back on one tape so the
 //!   derived `epoch2_step_speedup_vs_fresh_compose` isolates exactly the
 //!   planning cost (at paper scale the kernels dominate, so expect a small
 //!   but honest ratio; `epoch2_structure_ns_eliminated_per_step` records
-//!   the absolute planning time the scheduler removes from every step).
+//!   the absolute planning time taken off the step's critical path). The
+//!   `epoch2_` keys keep their names so records stay comparable.
 //!
 //! `activation_map/{scalar,avx2}` times one bulk tanh map over a
 //! ~1M-element buffer through the scalar reference loop vs the
@@ -178,7 +180,7 @@ fn bench_training_step(_c: &mut Criterion) {
     let small_parts: Vec<&SamplePlan> = small_plans.iter().collect();
     let mb = build_megabatch(&parts);
     // The cached composition whose features get refilled every round — the
-    // composition-cache-hit / epoch≥2 structure-reuse path.
+    // serving composition-cache-hit path.
     let mut cached_composition = ComposedMegabatch::compose(&parts).expect("compose");
     let mb_small = build_megabatch(&small_parts);
 
@@ -253,10 +255,10 @@ fn bench_training_step(_c: &mut Criterion) {
         std::hint::black_box(cached_composition.plan().n_paths);
         t_compose_refill.push(t.elapsed().as_nanos() as f64);
 
-        // Epoch-1 / pre-scheduler behavior: compose + step, paired with the
-        // epoch>=2 steady state (pre-composed, same tape). The two run back
-        // to back with the order alternating per round, so slow machine
-        // drift within a round cancels out of the median ratio.
+        // Inline compose + step, paired with a step on a pre-composed
+        // megabatch (what the prefetch lane delivers, same tape). The two
+        // run back to back with the order alternating per round, so slow
+        // machine drift within a round cancels out of the median ratio.
         let time_fresh = |tape: &mut Graph| {
             let t = std::time::Instant::now();
             let mb_fresh = build_megabatch(&parts);
@@ -332,9 +334,9 @@ fn bench_training_step(_c: &mut Criterion) {
         ("backward/megabatch".into(), megabatch_bwd),
         ("compose/fresh_build".into(), compose_fresh),
         ("compose/cached_refill".into(), compose_refill),
-        // Epoch-1 behavior: per-step compose + step, paired with the
-        // epoch>=2 steady state (same tape, pre-composed megabatch, zero
-        // per-step structure work) — at paper scale and at small scale.
+        // Inline compose + step, paired with a step on a pre-composed
+        // megabatch (same tape, no structure work on the step's critical
+        // path) — at paper scale and at small scale.
         ("after/megabatch_fresh_compose".into(), fresh_compose_step),
         ("after/megabatch_precomposed".into(), precomposed_step),
         ("small/megabatch_fresh_compose".into(), small_fresh),
@@ -361,8 +363,8 @@ fn bench_training_step(_c: &mut Criterion) {
     let speedup_mega = legacy / megabatch;
     let speedup_fused = legacy / fused;
     // Composition-layer ratios. Cached refill vs fresh build is measured
-    // directly (both are sub-ms and stable). The paper-scale epoch>=2 step
-    // speedup is assembled from the component medians — compose cost is
+    // directly (both are sub-ms and stable). The paper-scale precomposed
+    // step speedup is assembled from the component medians — compose cost is
     // ~0.3% of a paper-scale step, far below what the difference of two
     // ~150ms timings resolves on a shared/throttled runner — while the
     // small-scale pair (planning a visible step fraction) is a direct
@@ -375,7 +377,7 @@ fn bench_training_step(_c: &mut Criterion) {
     let bench_host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "speedup legacy->megabatch: {speedup_mega:.2}x, legacy->fused: {speedup_fused:.2}x; \
-         compose fresh->refill {compose_refill_speedup:.1}x, epoch>=2 step \
+         compose fresh->refill {compose_refill_speedup:.1}x, precomposed step \
          {epoch2_step_speedup:.4}x (small-scale {small_epoch2_step_speedup:.3}x, \
          compose = {compose_pct_of_small_step:.1}% of the small step) \
          [{bench_host_cores} cores available]"

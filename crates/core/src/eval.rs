@@ -182,8 +182,7 @@ pub fn evaluate_baseline(name: &str, dataset_name: &str, pairs: &[(f64, f64)]) -
 /// `eval_chunks`) into block-diagonal forward passes on pooled tapes;
 /// each chunk flows through the composition layer (`build_megabatch` is
 /// compose + extract + assemble). One-shot evaluation has no recurring
-/// batch shapes to cache, so no `CompositionCache` sits here — the trainer
-/// owns that reuse for its fixed batches and validation chunks.
+/// batch shapes to cache, so no `CompositionCache` sits here.
 pub fn collect_predictions<M: PathPredictor>(model: &M, plans: &[SamplePlan]) -> Vec<(f64, f64)> {
     let tape_pool = rn_autograd::TapePool::new();
     eval_chunks(plans)
@@ -203,25 +202,6 @@ pub fn collect_predictions<M: PathPredictor>(model: &M, plans: &[SamplePlan]) ->
                         .collect::<Vec<_>>()
                 })
                 .collect::<Vec<_>>()
-        })
-        .collect()
-}
-
-/// Per-sample (unfused) prediction collection — the legacy path, kept for
-/// comparison and for harnesses that need one tape per sample.
-pub fn collect_predictions_per_sample<M: PathPredictor>(
-    model: &M,
-    plans: &[SamplePlan],
-) -> Vec<(f64, f64)> {
-    plans
-        .par_iter()
-        .flat_map_iter(|plan| {
-            let preds = model.predict(plan);
-            plan.reliable_idx
-                .iter()
-                .map(|&i| (preds[i], plan.targets_raw[i]))
-                .collect::<Vec<_>>()
-                .into_iter()
         })
         .collect()
 }

@@ -46,7 +46,10 @@
 //!   gather/scatter index plans message passing executes over.
 //! - [`model`] — [`model::RouteNet`] over its entity set, with the
 //!   [`PathPredictor`] interface the trainer, evaluator and server use.
-//! - [`trainer`] — minibatch Adam training with rayon data-parallel gradients.
+//! - [`trainer`] — minibatch Adam training with rayon data-parallel
+//!   gradients, on one schedule: every batch is a set of megabatches
+//!   composed one batch ahead on a background lane and dropped after its
+//!   step, so training memory is bounded by two batches' compositions.
 //! - [`eval`] — relative-error evaluation and CDF series (Figure 2).
 //! - [`persist`] — atomic JSON save/load of trained models.
 //! - [`plan_cache`] — scenario fingerprints and the compiled-plan LRU cache

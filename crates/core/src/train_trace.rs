@@ -29,15 +29,12 @@ use std::sync::Mutex;
 
 /// Trainer stage names, recording-index order.
 pub const STAGES: &[&str] = &["compose_wait", "forward", "backward", "optimizer", "eval"];
-/// Claiming a batch's compositions: waiting on the prefetch lane plus any
-/// inline (cold-start) compose. Near-zero from epoch 2 on — structure
-/// reuse is total.
+/// Claiming a batch's compositions: waiting on the prefetch lane, or the
+/// inline compose of an epoch's first batch.
 pub const COMPOSE_WAIT: usize = 0;
-/// Fused forward pass + loss evaluation, one span per megabatch (per
-/// sample on the legacy path).
+/// Fused forward pass + loss evaluation, one span per megabatch.
 pub const FORWARD: usize = 1;
-/// Reverse sweep over the tape, one span per megabatch (per sample on the
-/// legacy path).
+/// Reverse sweep over the tape, one span per megabatch.
 pub const BACKWARD: usize = 2;
 /// Gradient clipping + Adam step, one span per optimizer step.
 pub const OPTIMIZER: usize = 3;

@@ -22,7 +22,9 @@
 //!    minimal).
 //! 3. Each worker owns a pooled tape from a shared [`TapePool`] for the
 //!    duration of a batch and runs one fused block-diagonal forward
-//!    ([`PathPredictor::predict_batch_refs_with`]); steady-state serving is
+//!    ([`PathPredictor::predict_batch_refs_with`]) per step period present
+//!    in it — QoS plans (node, queue, link) and legacy plans (node, link)
+//!    cannot share one — so a mixed batch runs two; steady-state serving is
 //!    allocation-free. Results are split per request and delivered through
 //!    per-request channels.
 //!
@@ -59,13 +61,13 @@ use crate::fault::{ChaosPlan, FaultInjector, CHAOS_WORKER_KILL};
 use crate::metrics::{stage, CacheStats, MetricsSnapshot, ServeMetrics};
 use crate::registry::ModelRegistry;
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
-use rn_autograd::TapePool;
+use rn_autograd::{Graph, TapePool};
 use rn_dataset::Sample;
 use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::PlanConfig;
 use routenet::model::PathPredictor;
 use routenet::plan_cache::{sample_fingerprint, PlanCache};
-use routenet::SamplePlan;
+use routenet::{EntityKind, SamplePlan};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -685,9 +687,9 @@ fn supervised_worker<M: PathPredictor>(inner: &Inner<M>) {
 }
 
 /// Worker: wait for a flush condition, drain a batch, run one fused forward
-/// on a pooled tape, deliver per-request results. Batch execution runs
-/// under `catch_unwind`: a panic answers every request in the batch with
-/// [`ServeError::WorkerPanic`] instead of killing the worker.
+/// per step period on a pooled tape, deliver per-request results. Batch
+/// execution runs under `catch_unwind`: a panic answers every request in the
+/// batch with [`ServeError::WorkerPanic`] instead of killing the worker.
 fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
     loop {
         // Chaos worker-kill injection point: fires *between* batches, while
@@ -763,81 +765,57 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
         if group.is_empty() {
             continue;
         }
+        let riders = group.len();
+        let total_paths: usize = group.iter().map(|j| j.plan.n_paths).sum();
+        let runs = period_runs(group);
 
         // The batch region: everything that can panic on a model/kernel bug
-        // (or injected chaos) runs under `catch_unwind`, borrowing `group`
+        // (or injected chaos) runs under `catch_unwind`, borrowing `runs`
         // so the jobs stay answerable afterwards. No lock is held here, and
         // the pooled tape is acquired and released inside the region — a
         // panic mid-batch drops that tape during unwind (the pool simply
         // re-allocates later) instead of recycling torn scratch state.
-        let total_paths: usize = group.iter().map(|j| j.plan.n_paths).sum();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if let Some(chaos) = &inner.chaos {
                 chaos.before_batch();
             }
-            let refs: Vec<&SamplePlan> = group.iter().map(|j| j.plan.as_ref()).collect();
             let mut tape = inner.tapes.acquire();
-            // Stage-boundary instants (`compose starts` / `forward starts` /
-            // `forward done`) ride out of the region so completed requests
-            // can be attributed per stage — three clock reads per batch,
-            // recorded only while `RN_TRACE=1`.
-            let t_compose = Instant::now();
-            let (results, t_forward, t_forward_end) = if refs.len() > 1 {
-                // Multi-request batches go through the composition cache: a
-                // recurring batch shape checks its composed block-diagonal
-                // structure out, refills the feature rows for *these*
-                // requests and skips `build_megabatch` planning entirely.
-                // Misses compose fresh and publish for the next batch with
-                // this shape. Bitwise identical to `predict_batch_refs_with`
-                // either way.
-                let key = CompositionCache::key_of(&refs);
-                let composed = match inner.compositions.checkout(&key) {
-                    Some(mut cached) => {
-                        cached.refill_features(&refs);
-                        cached
-                    }
-                    None => ComposedMegabatch::compose(&refs)
-                        .expect("worker batch is non-empty and width-checked"),
-                };
-                let t_forward = Instant::now();
-                let out = model.predict_megabatch_with(&mut tape, composed.megabatch());
-                let t_forward_end = Instant::now();
-                inner.compositions.publish(composed);
-                (out, t_forward, t_forward_end)
-            } else {
-                // Single-request flushes take the legacy (bitwise-seed)
-                // path, exactly as `predict_batch_refs_with` special-cases
-                // them.
-                let t_forward = Instant::now();
-                let out = model.predict_batch_refs_with(&mut tape, &refs);
-                (out, t_forward, Instant::now())
-            };
+            let outs: Vec<RunOutput> = runs
+                .iter()
+                .map(|run| {
+                    let refs: Vec<&SamplePlan> = run.iter().map(|j| j.plan.as_ref()).collect();
+                    forward_run(inner, &model, &mut tape, &refs)
+                })
+                .collect();
             inner.tapes.release(tape);
-            (results, t_compose, t_forward, t_forward_end)
+            outs
         }));
 
         match outcome {
-            Ok((results, t_compose, t_forward, t_forward_end)) => {
-                inner.metrics.batches.record(group.len(), total_paths);
+            Ok(outs) => {
+                inner.metrics.batches.record(riders, total_paths);
                 let done = Instant::now();
                 let stages = &inner.metrics.stages;
-                for (job, delays) in group.into_iter().zip(results) {
-                    inner.metrics.latency.record(done - job.enqueued);
-                    // The five stages decompose `done - enqueued` exactly:
-                    // adjacent stages share their boundary instant (`now` is
-                    // the drain instant captured for deadline partitioning),
-                    // so the per-request stage sum telescopes to the same
-                    // duration the end-to-end histogram records. No-ops
-                    // while tracing is off.
-                    stages.record(stage::QUEUE_WAIT, now - job.enqueued);
-                    stages.record(stage::BATCH_ASSEMBLY, t_compose - now);
-                    stages.record(stage::COMPOSE, t_forward - t_compose);
-                    stages.record(stage::FORWARD, t_forward_end - t_forward);
-                    stages.record(stage::REPLY, done - t_forward_end);
-                    inner.metrics.note_completion();
-                    // A caller that gave up (dropped the receiver) is not an
-                    // error.
-                    job.respond.try_send(Ok(delays)).ok();
+                for (run, out) in runs.into_iter().zip(outs) {
+                    for (job, delays) in run.into_iter().zip(out.results) {
+                        inner.metrics.latency.record(done - job.enqueued);
+                        // The five stages decompose `done - enqueued`
+                        // exactly: adjacent stages share their boundary
+                        // instant (`now` is the drain instant captured for
+                        // deadline partitioning), so the per-request stage
+                        // sum telescopes to the same duration the
+                        // end-to-end histogram records. No-ops while
+                        // tracing is off.
+                        stages.record(stage::QUEUE_WAIT, now - job.enqueued);
+                        stages.record(stage::BATCH_ASSEMBLY, out.t_compose - now);
+                        stages.record(stage::COMPOSE, out.t_forward - out.t_compose);
+                        stages.record(stage::FORWARD, out.t_forward_end - out.t_forward);
+                        stages.record(stage::REPLY, done - out.t_forward_end);
+                        inner.metrics.note_completion();
+                        // A caller that gave up (dropped the receiver) is
+                        // not an error.
+                        job.respond.try_send(Ok(delays)).ok();
+                    }
                 }
             }
             Err(_) => {
@@ -847,12 +825,98 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 inner
                     .metrics
                     .errors
-                    .fetch_add(group.len() as u64, Ordering::Relaxed);
-                for job in group {
+                    .fetch_add(riders as u64, Ordering::Relaxed);
+                for job in runs.into_iter().flatten() {
                     job.respond.try_send(Err(ServeError::WorkerPanic)).ok();
                 }
             }
         }
+    }
+}
+
+/// The repeating entity-kind cycle of a plan's path sequence: node, link
+/// for legacy plans, node, queue, link for QoS ones (empty without steps).
+/// Read off the sequence itself, so two plans with equal periods agree on
+/// the kind at every position both carry — exactly what composing them into
+/// one megabatch requires.
+fn step_period(plan: &SamplePlan) -> &[EntityKind] {
+    let kinds = &plan.csr.kinds;
+    let len = (1..=kinds.len())
+        .find(|&p| (p..kinds.len()).all(|i| kinds[i] == kinds[i % p]))
+        .unwrap_or(0);
+    &kinds[..len]
+}
+
+/// Split a flush into runs of equal [`step_period`], in order of first
+/// appearance. A batch mixing QoS and legacy scenarios cannot share one
+/// block-diagonal forward; each run gets its own.
+fn period_runs(jobs: Vec<Job>) -> Vec<Vec<Job>> {
+    let mut runs: Vec<Vec<Job>> = Vec::with_capacity(1);
+    for job in jobs {
+        let period = step_period(&job.plan);
+        match runs
+            .iter_mut()
+            .find(|run| step_period(&run[0].plan) == period)
+        {
+            Some(run) => run.push(job),
+            None => runs.push(vec![job]),
+        }
+    }
+    runs
+}
+
+/// One run's predictions plus its stage-boundary instants (`compose starts`
+/// / `forward starts` / `forward done`), which ride out of the batch region
+/// so completed requests can be attributed per stage — three clock reads
+/// per run, recorded only while `RN_TRACE=1`.
+struct RunOutput {
+    results: Vec<Vec<f64>>,
+    t_compose: Instant,
+    t_forward: Instant,
+    t_forward_end: Instant,
+}
+
+/// One forward over a run of plans sharing a step period.
+fn forward_run<M: PathPredictor>(
+    inner: &Inner<M>,
+    model: &M,
+    tape: &mut Graph,
+    refs: &[&SamplePlan],
+) -> RunOutput {
+    let t_compose = Instant::now();
+    let (results, t_forward, t_forward_end) = if refs.len() > 1 {
+        // Multi-request runs go through the composition cache: a recurring
+        // batch shape checks its composed block-diagonal structure out,
+        // refills the feature rows for *these* requests and skips
+        // `build_megabatch` planning entirely. Misses compose fresh and
+        // publish for the next batch with this shape. Bitwise identical to
+        // `predict_batch_refs_with` either way.
+        let key = CompositionCache::key_of(refs);
+        let composed = match inner.compositions.checkout(&key) {
+            Some(mut cached) => {
+                cached.refill_features(refs);
+                cached
+            }
+            None => ComposedMegabatch::compose(refs)
+                .expect("worker run is non-empty, width-checked and of one step period"),
+        };
+        let t_forward = Instant::now();
+        let out = model.predict_megabatch_with(tape, composed.megabatch());
+        let t_forward_end = Instant::now();
+        inner.compositions.publish(composed);
+        (out, t_forward, t_forward_end)
+    } else {
+        // Single-request runs take the legacy (bitwise-seed) path, exactly
+        // as `predict_batch_refs_with` special-cases them.
+        let t_forward = Instant::now();
+        let out = model.predict_batch_refs_with(tape, refs);
+        (out, t_forward, Instant::now())
+    };
+    RunOutput {
+        results,
+        t_compose,
+        t_forward,
+        t_forward_end,
     }
 }
 

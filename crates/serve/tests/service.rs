@@ -667,3 +667,64 @@ fn qos_scenario_sent_to_an_extended_service_is_answered_without_its_queues() {
     assert_eq!(m.errors, 0);
     service.shutdown();
 }
+
+#[test]
+fn mixed_qos_and_legacy_batch_answers_both() {
+    // A QoS plan cycles node/queue/link and a legacy plan node/link, so the
+    // two cannot share one block-diagonal forward. A flush that carries
+    // both runs one forward per step schedule and answers every request,
+    // each bitwise as if it had been predicted alone.
+    let qos_config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 30.0,
+            warmup_s: 5.0,
+            ..SimConfig::default()
+        },
+        qos: Some(rn_dataset::QosGenConfig::two_class_mix()),
+        ..GeneratorConfig::default()
+    };
+    let qos_ds = generate(&topologies::toy5(), &qos_config, 41, 1);
+    let legacy_ds = toy_dataset(1, 42);
+    let model = fitted_model(&legacy_ds, 1);
+    let plans = [
+        Arc::new(model.plan(&qos_ds.samples[0])),
+        Arc::new(model.plan(&legacy_ds.samples[0])),
+    ];
+    assert!(plans[0].num_queues > 0, "scenario must have queues");
+    assert_eq!(plans[1].num_queues, 0);
+    let alone: Vec<Vec<u64>> = plans
+        .iter()
+        .map(|p| bits(&model.predict_batch(std::slice::from_ref(p.as_ref()))[0]))
+        .collect();
+
+    let service = Service::start(
+        model,
+        ServeConfig {
+            workers: 1,
+            max_batch: 2,
+            flush_deadline: Duration::from_millis(250),
+            ..ServeConfig::default()
+        },
+    );
+    let handle = service.handle();
+    let served: Vec<Result<Vec<f64>, ServeError>> = std::thread::scope(|s| {
+        let riders: Vec<_> = plans
+            .iter()
+            .map(|plan| {
+                let handle = handle.clone();
+                let plan = Arc::clone(plan);
+                s.spawn(move || handle.predict_plan(plan))
+            })
+            .collect();
+        riders.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for (i, (got, want)) in served.into_iter().zip(&alone).enumerate() {
+        let got = got.unwrap_or_else(|e| panic!("request {i} failed: {e:?}"));
+        assert_eq!(&bits(&got), want, "request {i}: served bits diverged");
+    }
+    let m = handle.metrics();
+    assert_eq!(m.batches, 1, "both requests must ride one batch");
+    assert_eq!(m.worker_panics, 0);
+    assert_eq!(m.errors, 0);
+    service.shutdown();
+}

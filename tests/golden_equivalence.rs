@@ -21,7 +21,9 @@ use rn_nn::Layer;
 use rn_tensor::Matrix;
 use routenet::entities::{build_megabatch, MegabatchPlan};
 use routenet::model::PathPredictor;
-use routenet::{ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, SamplePlan};
+use routenet::{
+    train, ExtendedRouteNet, ModelConfig, OriginalRouteNet, QosRouteNet, SamplePlan, TrainConfig,
+};
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
@@ -342,4 +344,38 @@ fn qos_predictions_match_recorded_fixture() {
     let plan = model.plan(&ds.samples[0]);
     assert!(plan.num_queues > 0, "the scenario must schedule classes");
     check_fixture("golden_qos_toy5.json", &model.predict(&plan));
+}
+
+#[test]
+fn training_matches_recorded_fixture() {
+    // A 3-epoch toy5 run with validation on the golden model: two
+    // megabatches of two plus one of one per epoch, validation chunks of
+    // two and one. The fixture is one flat series: the per-epoch train
+    // losses, the per-epoch validation losses, then the trained model's
+    // predictions on the first validation sample.
+    let gen_config = GeneratorConfig {
+        sim: SimConfig {
+            duration_s: 60.0,
+            warmup_s: 10.0,
+            ..SimConfig::default()
+        },
+        ..GeneratorConfig::default()
+    };
+    let train_ds = generate(&topologies::toy5(), &gen_config, 20_190_104, 6);
+    let val_ds = generate(&topologies::toy5(), &gen_config, 20_190_105, 3);
+    let mut model = ExtendedRouteNet::new(golden_config());
+    let config = TrainConfig {
+        epochs: 3,
+        batch_size: 4,
+        megabatch_size: 2,
+        ..TrainConfig::default()
+    };
+    let history = train(&mut model, &train_ds, Some(&val_ds), &config);
+    assert_eq!(history.train_loss.len(), 3);
+    assert_eq!(history.val_loss.len(), 3);
+    let plan = model.plan(&val_ds.samples[0]);
+    let mut series = history.train_loss.clone();
+    series.extend(&history.val_loss);
+    series.extend(model.predict(&plan));
+    check_fixture("golden_train_toy5.json", &series);
 }
