@@ -223,7 +223,7 @@ pub struct Graph {
     inference_mode: bool,
     /// Cumulative count of index words the tape has copied into pooled
     /// buffers (never cleared by `reset`). Tests assert this stays
-    /// flat across steps bound against a cached composition.
+    /// flat across steps bound against a composed megabatch.
     idx_copied: u64,
 }
 
@@ -621,10 +621,10 @@ impl Graph {
     /// a pooled (allocation-free once warm) buffer.
     ///
     /// This is how a forward pass binds **float** state from a borrowed plan
-    /// (a cached megabatch composition shared behind an `Arc`): the tape
+    /// (a plan or megabatch shared behind an `Arc`): the tape
     /// needs its own mutable copy because the fused step ops may advance
     /// states in place, stealing the leaf's buffer. Note the contrast with
-    /// the tape's *index* lists, which cached compositions hand over as
+    /// the tape's *index* lists, which plans and megabatches hand over as
     /// refcounted [`crate::SharedIndices`] views precisely because no op
     /// ever mutates them.
     pub fn constant_copy(&mut self, src: &Matrix) -> Var {

@@ -98,12 +98,6 @@ struct ServingBenchReport {
     serving_batch_occupancy: f64,
     /// Plan-cache hit rate over the whole run.
     cache_hit_rate: f64,
-    /// Composition-cache hit rate: multi-request batches that reused a
-    /// cached block-diagonal structure (feature refill only) instead of a
-    /// fresh `build_megabatch`.
-    compose_hit_rate: f64,
-    /// Distinct multi-request batch shapes the run produced.
-    distinct_batch_shapes: usize,
     /// Load-shedding behavior at 2× queue capacity (separate starved
     /// service instance; does not perturb the throughput phases above).
     overload_2x_capacity: OverloadReport,
@@ -331,8 +325,6 @@ fn main() {
         },
         serving_batch_occupancy,
         cache_hit_rate: server_metrics.cache_hit_rate,
-        compose_hit_rate: server_metrics.compose_hit_rate,
-        distinct_batch_shapes: server_metrics.batch_shapes.len(),
         overload_2x_capacity,
         config,
         direct_predict_loop_rps,
@@ -350,13 +342,11 @@ fn main() {
     std::fs::write(&path, serde_json::to_string(&report).expect("serialize"))
         .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     eprintln!(
-        "[serving] speedup vs naive loop: {:.2}x (occupancy {:.2}, plan cache hit rate {:.2}, \
-         composition hit rate {:.2} over {} shapes) -> {}",
+        "[serving] speedup vs naive loop: {:.2}x (occupancy {:.2}, plan cache hit rate {:.2}) \
+         -> {}",
         report.speedup_vs_naive_loop,
         report.serving_batch_occupancy,
         report.cache_hit_rate,
-        report.compose_hit_rate,
-        report.distinct_batch_shapes,
         path.display()
     );
 }

@@ -21,10 +21,8 @@
 //! hides:
 //!
 //! - `compose/fresh_build` — one `build_megabatch` (what the trainer's
-//!   background lane pays per megabatch, and what a serving worker pays on
-//!   a composition-cache miss);
-//! - `compose/cached_refill` — rewriting the features of a cached
-//!   composition (the serving cache-hit path);
+//!   background lane pays per megabatch, and what a serving worker pays per
+//!   multi-request run);
 //! - `after/megabatch_fresh_compose` — compose + step: a step whose batch
 //!   is composed inline, like the first batch of an epoch;
 //! - `after/megabatch_precomposed` — the same step on the same tape with a
@@ -55,7 +53,6 @@ use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_nn::Layer;
 use rn_tensor::simd::activations as vact;
-use routenet::compose::ComposedMegabatch;
 use routenet::entities::{build_megabatch, MegabatchPlan, SamplePlan};
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig};
@@ -179,9 +176,6 @@ fn bench_training_step(_c: &mut Criterion) {
     let parts: Vec<&SamplePlan> = plans.iter().collect();
     let small_parts: Vec<&SamplePlan> = small_plans.iter().collect();
     let mb = build_megabatch(&parts);
-    // The cached composition whose features get refilled every round — the
-    // serving composition-cache-hit path.
-    let mut cached_composition = ComposedMegabatch::compose(&parts).expect("compose");
     let mb_small = build_megabatch(&small_parts);
 
     let mut pooled_tape = Graph::new();
@@ -211,7 +205,6 @@ fn bench_training_step(_c: &mut Criterion) {
     let mut t_megabatch = Vec::with_capacity(ROUNDS);
     let mut t_megabatch_bwd = Vec::with_capacity(ROUNDS);
     let mut t_compose_fresh = Vec::with_capacity(ROUNDS);
-    let mut t_compose_refill = Vec::with_capacity(ROUNDS);
     let mut t_fresh_compose_step = Vec::with_capacity(ROUNDS);
     let mut t_precomposed_step = Vec::with_capacity(ROUNDS);
     let mut t_small_fresh = Vec::with_capacity(ROUNDS);
@@ -244,16 +237,10 @@ fn bench_training_step(_c: &mut Criterion) {
             time_fused();
         }
 
-        // Composition layer: fresh structure build vs cached-structure
-        // feature refill over the same parts.
+        // Composition of the whole batch.
         let t = std::time::Instant::now();
         std::hint::black_box(build_megabatch(&parts));
         t_compose_fresh.push(t.elapsed().as_nanos() as f64);
-
-        let t = std::time::Instant::now();
-        cached_composition.refill_features(&parts);
-        std::hint::black_box(cached_composition.plan().n_paths);
-        t_compose_refill.push(t.elapsed().as_nanos() as f64);
 
         // Inline compose + step, paired with a step on a pre-composed
         // megabatch (what the prefetch lane delivers, same tape). The two
@@ -319,7 +306,6 @@ fn bench_training_step(_c: &mut Criterion) {
     let (legacy, fused, megabatch) = (median(t_legacy), median(t_fused), median(t_megabatch));
     let megabatch_bwd = median(t_megabatch_bwd);
     let compose_fresh = median(t_compose_fresh);
-    let compose_refill = median(t_compose_refill);
     let fresh_compose_step = median(t_fresh_compose_step);
     let precomposed_step = median(t_precomposed_step);
     let small_fresh = median(t_small_fresh);
@@ -333,7 +319,6 @@ fn bench_training_step(_c: &mut Criterion) {
         ("after/megabatch".into(), megabatch),
         ("backward/megabatch".into(), megabatch_bwd),
         ("compose/fresh_build".into(), compose_fresh),
-        ("compose/cached_refill".into(), compose_refill),
         // Inline compose + step, paired with a step on a pre-composed
         // megabatch (same tape, no structure work on the step's critical
         // path) — at paper scale and at small scale.
@@ -362,14 +347,12 @@ fn bench_training_step(_c: &mut Criterion) {
     }
     let speedup_mega = legacy / megabatch;
     let speedup_fused = legacy / fused;
-    // Composition-layer ratios. Cached refill vs fresh build is measured
-    // directly (both are sub-ms and stable). The paper-scale precomposed
-    // step speedup is assembled from the component medians — compose cost is
+    // Composition ratios. The paper-scale precomposed step speedup is
+    // assembled from the component medians — compose cost is
     // ~0.3% of a paper-scale step, far below what the difference of two
     // ~150ms timings resolves on a shared/throttled runner — while the
     // small-scale pair (planning a visible step fraction) is a direct
     // median-of-alternating-pairs measurement.
-    let compose_refill_speedup = compose_fresh / compose_refill;
     let epoch2_step_speedup = (precomposed_step + compose_fresh) / precomposed_step;
     let small_epoch2_step_speedup = small_fresh / small_pre;
     let compose_pct_of_step = compose_fresh / precomposed_step * 100.0;
@@ -377,7 +360,7 @@ fn bench_training_step(_c: &mut Criterion) {
     let bench_host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
         "speedup legacy->megabatch: {speedup_mega:.2}x, legacy->fused: {speedup_fused:.2}x; \
-         compose fresh->refill {compose_refill_speedup:.1}x, precomposed step \
+         precomposed step \
          {epoch2_step_speedup:.4}x (small-scale {small_epoch2_step_speedup:.3}x, \
          compose = {compose_pct_of_small_step:.1}% of the small step) \
          [{bench_host_cores} cores available]"
@@ -386,7 +369,6 @@ fn bench_training_step(_c: &mut Criterion) {
         ("speedup_megabatch_vs_legacy", speedup_mega),
         ("speedup_fused_tape_reuse_vs_legacy", speedup_fused),
         ("megabatch_vs_fused_tape_reuse", megabatch / fused),
-        ("compose_refill_speedup_vs_fresh", compose_refill_speedup),
         ("epoch2_step_speedup_vs_fresh_compose", epoch2_step_speedup),
         (
             "small_epoch2_step_speedup_vs_fresh_compose",

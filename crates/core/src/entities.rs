@@ -221,14 +221,9 @@ pub struct SamplePlan {
     pub targets_raw: Vec<f64>,
     /// Rows whose labels are reliable enough to train/evaluate on.
     pub reliable_idx: Vec<usize>,
-    /// Memoized structure fingerprint (see
-    /// [`SamplePlan::structure_fingerprint`]): computed on first use, shared
-    /// by clones. Covers only the shape-dependent parts of the plan, so it
-    /// stays valid when features (targets, reliability) are edited in place.
-    pub(crate) structure_fp: OnceLock<u64>,
     /// Lazily built `Arc` mirror of `reliable_idx` for the loss gather.
     /// Must be invalidated (reset to an empty cell) wherever `reliable_idx`
-    /// is rewritten in place — feature refill, eval re-thresholding.
+    /// is rewritten in place (eval re-thresholding).
     pub(crate) reliable_shared: OnceLock<Arc<[usize]>>,
 }
 
@@ -413,7 +408,6 @@ pub fn build_plan(sample: &Sample, config: &PlanConfig) -> SamplePlan {
         targets_norm,
         targets_raw,
         reliable_idx,
-        structure_fp: OnceLock::new(),
         reliable_shared: OnceLock::new(),
     }
 }
@@ -483,9 +477,9 @@ impl std::error::Error for MegabatchError {}
 
 /// Pack `parts` into one block-diagonal [`MegabatchPlan`].
 ///
-/// Panics on an empty slice or on state-width mismatches between parts; use
-/// [`try_build_megabatch`] where those are runtime conditions (e.g. a
-/// serving queue) rather than caller bugs.
+/// Panics on an empty slice, on state-width mismatches and on mixed step
+/// periods between parts; use [`MegabatchPlan::compose`] where those are
+/// runtime conditions rather than caller bugs.
 ///
 /// # Example
 ///
@@ -519,23 +513,7 @@ impl std::error::Error for MegabatchError {}
 /// assert_eq!(mb.path_ranges.len(), 2);
 /// ```
 pub fn build_megabatch(parts: &[&SamplePlan]) -> MegabatchPlan {
-    match try_build_megabatch(parts) {
-        Ok(mb) => mb,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`build_megabatch`]: returns a [`MegabatchError`] instead of
-/// panicking on an empty part list or mismatched state widths.
-///
-/// Implemented on top of the composition layer ([`crate::compose`]): a
-/// fresh build is exactly "compose the structure, extract the features,
-/// assemble" — which is what makes a cached
-/// [`crate::compose::ComposedMegabatch`] with refilled features **bitwise
-/// identical** to this function by construction rather than by test alone.
-pub fn try_build_megabatch(parts: &[&SamplePlan]) -> Result<MegabatchPlan, MegabatchError> {
-    crate::compose::ComposedMegabatch::compose(parts)
-        .map(crate::compose::ComposedMegabatch::into_plan)
+    MegabatchPlan::compose(parts).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Copy all of `src`'s rows into `dst` starting at row `at`.
@@ -989,7 +967,7 @@ mod tests {
     #[test]
     fn empty_megabatch_is_an_error_not_a_panic() {
         assert_eq!(
-            try_build_megabatch(&[]).unwrap_err(),
+            MegabatchPlan::compose(&[]).unwrap_err(),
             MegabatchError::EmptyBatch
         );
         let msg = MegabatchError::EmptyBatch.to_string();
@@ -1010,7 +988,7 @@ mod tests {
         cfg.state_dim = 16;
         let plan_b = build_plan(&sample, &cfg);
         assert_eq!(
-            try_build_megabatch(&[&plan_a, &plan_b]).unwrap_err(),
+            MegabatchPlan::compose(&[&plan_a, &plan_b]).unwrap_err(),
             MegabatchError::StateDimMismatch(8, 16)
         );
     }

@@ -179,10 +179,10 @@ pub fn evaluate_baseline(name: &str, dataset_name: &str, pairs: &[(f64, f64)]) -
 /// Plan-level prediction collection — exposed for harnesses that already
 /// built plans (avoids re-planning in ablation sweeps). Runs the fused
 /// megabatch inference path: workers pack size-aware chunks (see
-/// `eval_chunks`) into block-diagonal forward passes on pooled tapes;
-/// each chunk flows through the composition layer (`build_megabatch` is
-/// compose + extract + assemble). One-shot evaluation has no recurring
-/// batch shapes to cache, so no `CompositionCache` sits here.
+/// `eval_chunks`) into block-diagonal forward passes on pooled tapes,
+/// through [`PathPredictor::predict_batch_with`], which composes one
+/// megabatch per step period in the chunk — so a set mixing QoS and legacy
+/// scenarios evaluates like any other.
 pub fn collect_predictions<M: PathPredictor>(model: &M, plans: &[SamplePlan]) -> Vec<(f64, f64)> {
     let tape_pool = rn_autograd::TapePool::new();
     eval_chunks(plans)

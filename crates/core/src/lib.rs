@@ -54,10 +54,9 @@
 //! - [`persist`] — atomic JSON save/load of trained models.
 //! - [`plan_cache`] — scenario fingerprints and the compiled-plan LRU cache
 //!   the serving layer (`rn_serve`) builds on.
-//! - [`compose`] — the megabatch composition layer: shape-dependent
-//!   structure split from per-batch features, with in-place feature refill
-//!   and the LRU composition cache recurring batch shapes hit instead of
-//!   re-running `build_megabatch`.
+//! - [`compose`] — megabatch composition: one function packs plans into a
+//!   block-diagonal megabatch, and [`compose::period_runs`] decides which
+//!   plans may share one (equal step period), for every batched caller.
 
 #![warn(missing_docs)]
 
@@ -72,7 +71,6 @@ pub mod plan_cache;
 pub mod train_trace;
 pub mod trainer;
 
-pub use compose::{ComposedMegabatch, CompositionCache, MegabatchFeatures, MegabatchStructure};
 pub use config::{ModelConfig, NodeUpdate};
 pub use entities::{EntityKind, MegabatchError, SamplePlan};
 pub use eval::{evaluate, EvalReport};

@@ -10,6 +10,7 @@
 //! hop); a model walks it and skips the positions of entities it lacks, so
 //! the original model reads exactly the links of each path.
 
+use crate::compose::period_runs;
 use crate::config::{ModelConfig, NodeUpdate};
 use crate::entities::{
     build_megabatch, build_plan, EntityKind, MegabatchPlan, PlanConfig, SamplePlan, TargetKind,
@@ -99,11 +100,12 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
         out
     }
 
-    /// Batched inference: packs `plans` into one block-diagonal megabatch,
-    /// runs a single forward pass (one parameter bind amortized over the
-    /// batch, B-fold taller matmuls), and splits the predictions back per
-    /// sample. Output `[i]` equals `self.predict(&plans[i])` to f32
-    /// round-off.
+    /// Batched inference: packs `plans` into block-diagonal megabatches,
+    /// one per step period present (see [`crate::compose::period_runs`]),
+    /// runs one forward pass per megabatch (one parameter bind amortized
+    /// over it, B-fold taller matmuls), and splits the predictions back per
+    /// sample in input order. Output `[i]` equals `self.predict(&plans[i])`
+    /// to f32 round-off.
     fn predict_batch(&self, plans: &[SamplePlan]) -> Vec<Vec<f64>> {
         let mut g = Graph::new();
         self.predict_batch_with(&mut g, plans)
@@ -123,21 +125,24 @@ pub trait PathPredictor: Layer + Clone + Send + Sync {
     /// forward, allocation-free once the pool is warm. Results are
     /// identical to [`PathPredictor::predict_batch`] element for element.
     fn predict_batch_refs_with(&self, g: &mut Graph, plans: &[&SamplePlan]) -> Vec<Vec<f64>> {
-        if plans.is_empty() {
-            return Vec::new();
+        let mut out = vec![Vec::new(); plans.len()];
+        for run in period_runs(plans.iter().copied().enumerate(), |&(_, p)| p) {
+            let (rows, parts): (Vec<usize>, Vec<&SamplePlan>) = run.into_iter().unzip();
+            // A lone plan is its own megabatch: no composition needed.
+            let preds = match parts[..] {
+                [plan] => vec![self.predict_with(g, plan)],
+                _ => self.predict_megabatch_with(g, &build_megabatch(&parts)),
+            };
+            for (row, pred) in rows.into_iter().zip(preds) {
+                out[row] = pred;
+            }
         }
-        if plans.len() == 1 {
-            return vec![self.predict_with(g, plans[0])];
-        }
-        let mb = build_megabatch(plans);
-        self.predict_megabatch_with(g, &mb)
+        out
     }
 
-    /// Batched inference over an **already composed** megabatch — the entry
-    /// point the composition layer (`crate::compose`) feeds: a serving
-    /// worker that checked a cached [`crate::compose::ComposedMegabatch`]
-    /// out of the composition cache and refilled its features runs this
-    /// instead of re-planning, with bitwise-identical results to
+    /// Batched inference over an **already composed** megabatch of one step
+    /// period — what a serving worker runs after composing a run itself, so
+    /// it can time composition and forward apart. Bitwise identical to
     /// [`PathPredictor::predict_batch_refs_with`] over the same parts.
     fn predict_megabatch_with(&self, g: &mut Graph, mb: &MegabatchPlan) -> Vec<Vec<f64>> {
         g.reset();
@@ -432,8 +437,8 @@ impl<E: EntitySet> RouteNet<E> {
         plan: &SamplePlan,
         fused: bool,
     ) -> Var {
-        // Pooled copies: the plan may be a cached composition shared behind
-        // an Arc, so the tape takes its own (recycled) buffers.
+        // Pooled copies: the plan may be a plan-cache entry shared behind an
+        // Arc, so the tape takes its own (recycled) buffers.
         let mut states = States {
             path: g.constant_copy(&plan.path_init),
             link: g.constant_copy(&plan.link_init),
@@ -974,11 +979,34 @@ mod tests {
         }
     }
 
+    /// A two-class QoS plan among legacy ones: `predict_batch` answers
+    /// every plan bitwise as the run of its own step period does alone.
+    fn mixed_batch_matches_single_period_runs<E: EntitySet>(legacy: &Dataset, qos: &Dataset) {
+        let model = fitted::<E>(small_config(), legacy);
+        let mut plans: Vec<SamplePlan> = legacy.samples.iter().map(|s| model.plan(s)).collect();
+        let legacy_alone = model.predict_batch(&plans);
+        let qos_plan = model.plan(&qos.samples[0]);
+        assert!(qos_plan.num_queues > 0, "QoS sample must have queues");
+        let qos_alone = model.predict(&qos_plan);
+        plans.insert(1, qos_plan);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mixed = model.predict_batch(&plans);
+        assert_eq!(mixed.len(), plans.len());
+        assert_eq!(bits(&mixed[1]), bits(&qos_alone), "{} QoS plan", E::NAME);
+        for (i, alone) in [0, 2, 3].into_iter().zip(&legacy_alone) {
+            assert_eq!(bits(&mixed[i]), bits(alone), "{} plan {i}", E::NAME);
+        }
+    }
+
     #[test]
     fn predict_batch_matches_per_sample_predict() {
         batch_matches_per_sample::<Original>(&toy_dataset(3));
         batch_matches_per_sample::<Extended>(&toy_dataset(3));
         batch_matches_per_sample::<Qos>(&qos_dataset(3));
+        let (legacy, qos) = (toy_dataset(3), qos_dataset(1));
+        mixed_batch_matches_single_period_runs::<Original>(&legacy, &qos);
+        mixed_batch_matches_single_period_runs::<Extended>(&legacy, &qos);
+        mixed_batch_matches_single_period_runs::<Qos>(&legacy, &qos);
     }
 
     fn ignores_queue_entities<E: EntitySet>(ds: &Dataset) {

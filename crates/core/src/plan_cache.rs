@@ -75,14 +75,6 @@ impl Fingerprint {
         self.u64(v.to_bits())
     }
 
-    /// Fold a slice of `f32`s by bit pattern.
-    pub fn f32s(&mut self, vs: &[f32]) -> &mut Self {
-        for v in vs {
-            self.bytes(&v.to_bits().to_le_bytes());
-        }
-        self
-    }
-
     /// Fold a slice of indices.
     pub fn usizes(&mut self, vs: &[usize]) -> &mut Self {
         for &v in vs {
@@ -149,77 +141,6 @@ pub fn sample_fingerprint(sample: &Sample, config: &PlanConfig) -> u64 {
         fp.usize(encoded.len()).bytes(encoded.as_bytes());
     }
     fp.finish()
-}
-
-impl SamplePlan {
-    /// Content fingerprint of the compiled plan: everything the forward pass
-    /// reads — entity counts, initial states (traffic/capacity/queue
-    /// features), and the full message-passing schedule. Ground-truth
-    /// targets and reliability masks are deliberately excluded (see the
-    /// module docs): plans that predict identically fingerprint identically.
-    pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.usize(self.n_paths)
-            .usize(self.num_links)
-            .usize(self.num_nodes)
-            .usize(self.num_queues);
-        for &(s, d) in &self.pairs {
-            fp.usize(s).usize(d);
-        }
-        fp.f32s(self.path_init.as_slice())
-            .f32s(self.link_init.as_slice())
-            .f32s(self.node_init.as_slice())
-            .f32s(self.queue_init.as_slice());
-        let csr = &self.csr;
-        fp.usize(csr.len())
-            .usizes(&csr.offsets)
-            .usizes(&csr.ids_flat)
-            .usizes(&csr.active_offsets)
-            .usizes(&csr.active_rows_flat)
-            .usizes(&csr.active_ids_flat);
-        fp.usizes(&self.node_incidence_paths)
-            .usizes(&self.node_incidence_nodes);
-        fp.finish()
-    }
-
-    /// Fingerprint of the plan's **structure** alone: entity counts, state
-    /// width, routing pairs, the full compiled step schedules and the
-    /// path↔node incidences — everything that determines the shape-dependent
-    /// half of a megabatch composition (`crate::compose`), and nothing that
-    /// doesn't. Feature values (initial-state matrices), targets and
-    /// reliability are deliberately excluded: two plans that differ only in
-    /// traffic/capacity/queue features or labels share one composed
-    /// structure. Memoized on first use; clones share the cached value.
-    pub fn structure_fingerprint(&self) -> u64 {
-        *self.structure_fp.get_or_init(|| {
-            let mut fp = Fingerprint::new();
-            fp.usize(self.path_init.cols()) // state width shapes every buffer
-                .usize(self.n_paths)
-                .usize(self.num_links)
-                .usize(self.num_nodes)
-                .usize(self.num_queues);
-            for &(s, d) in &self.pairs {
-                fp.usize(s).usize(d);
-            }
-            let csr = &self.csr;
-            fp.usize(csr.len())
-                .usizes(&csr.offsets)
-                .usizes(&csr.ids_flat)
-                .usizes(&csr.active_offsets)
-                .usizes(&csr.active_rows_flat)
-                .usizes(&csr.active_ids_flat);
-            for &kind in &csr.kinds {
-                fp.u64(match kind {
-                    crate::entities::EntityKind::Link => 0,
-                    crate::entities::EntityKind::Node => 1,
-                    crate::entities::EntityKind::Queue => 2,
-                });
-            }
-            fp.usizes(&self.node_incidence_paths)
-                .usizes(&self.node_incidence_nodes);
-            fp.finish()
-        })
-    }
 }
 
 /// One cache slot: the shared plan plus its LRU stamp.
@@ -423,18 +344,6 @@ mod tests {
             t.mean_delay_s *= 2.0;
         }
         assert_eq!(a, sample_fingerprint(&relabeled, &cfg));
-    }
-
-    #[test]
-    fn plan_fingerprint_matches_scenario_identity() {
-        let samples = toy_samples(2);
-        let p = prep();
-        let cfg = config(&p);
-        let plan_a1 = build_plan(&samples[0], &cfg);
-        let plan_a2 = build_plan(&samples[0], &cfg);
-        let plan_b = build_plan(&samples[1], &cfg);
-        assert_eq!(plan_a1.fingerprint(), plan_a2.fingerprint());
-        assert_ne!(plan_a1.fingerprint(), plan_b.fingerprint());
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Minibatch training with data-parallel gradients.
 //!
 //! Each training step packs one minibatch of sample graphs into
-//! block-diagonal **megabatches** ([`crate::entities::build_megabatch`]):
-//! every `megabatch_size` slice runs ONE fused forward/backward — one
-//! parameter `bind()` amortized over the pack, `B`-fold taller
-//! (cache-friendlier) matmuls, and an order of magnitude fewer tape nodes.
+//! block-diagonal **megabatches** ([`crate::compose`]): every
+//! `megabatch_size` slice, split by step period
+//! ([`crate::compose::period_runs`]) so a slice mixing QoS and legacy
+//! samples yields one megabatch per period, runs ONE fused forward/backward
+//! per megabatch — one parameter `bind()` amortized over the pack, `B`-fold
+//! taller (cache-friendlier) matmuls, and an order of magnitude fewer tape
+//! nodes.
 //! Workers draw reusable tapes from a [`TapePool`], so the steady-state loop
 //! is allocation-free.
 //!
@@ -12,7 +15,7 @@
 //!
 //! Megabatch **membership is fixed once** from the seeded shuffle; later
 //! epochs only permute the order batches are visited in. Each batch's
-//! compositions ([`crate::compose::ComposedMegabatch`]) are built on a
+//! megabatches ([`crate::entities::MegabatchPlan`]) are composed on a
 //! background lane one labelled batch ahead while the current batch trains,
 //! consumed, and dropped. Nothing is kept across batches or epochs, so
 //! resident composition memory is bounded by two batches (the current and
@@ -29,7 +32,7 @@
 //! is skipped and counted in [`TrainingHistory::skipped_steps`], so one NaN
 //! loss never reaches the weights.
 
-use crate::compose::ComposedMegabatch;
+use crate::compose::period_runs;
 use crate::entities::{MegabatchPlan, SamplePlan};
 use crate::model::PathPredictor;
 use crate::train_trace::{self, TrainTrace};
@@ -236,7 +239,7 @@ fn megabatch_gradients<M: PathPredictor>(
 /// or `None` when no megabatch has labels.
 fn batch_gradients<M: PathPredictor>(
     model: &M,
-    comps: &[ComposedMegabatch],
+    comps: &[MegabatchPlan],
     loss: Loss,
     labelled: usize,
     tapes: &TapePool,
@@ -246,7 +249,7 @@ fn batch_gradients<M: PathPredictor>(
         .par_iter()
         .filter_map(|c| {
             let mut tape = tapes.acquire();
-            let out = megabatch_gradients(model, c.megabatch(), loss, labelled, &mut tape, stages);
+            let out = megabatch_gradients(model, c, loss, labelled, &mut tape, stages);
             tapes.release(tape);
             out
         })
@@ -308,9 +311,14 @@ pub fn train_on_plans<M: PathPredictor>(
     train_on_plans_with_val(model, plans, &[], config)
 }
 
-/// Compose one megabatch over `parts` (a batch slice or a validation chunk).
-fn compose_slice(parts: &[&SamplePlan]) -> ComposedMegabatch {
-    ComposedMegabatch::compose(parts).expect("train: uniform-width non-empty slice")
+/// Compose the megabatches of `parts` (a batch slice or a validation
+/// chunk): one per step period present, in order of first appearance. A
+/// slice of one period composes exactly one.
+fn compose_slice<'a>(parts: impl IntoIterator<Item = &'a SamplePlan>) -> Vec<MegabatchPlan> {
+    period_runs(parts, |p| *p)
+        .iter()
+        .map(|run| MegabatchPlan::compose(run).expect("train: uniform-width non-empty run"))
+        .collect()
 }
 
 /// Train on prebuilt plans with an optional prebuilt validation set.
@@ -374,10 +382,10 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
                 .count()
         })
         .collect();
-    let compose_batch = |bi: usize| -> Vec<ComposedMegabatch> {
+    let compose_batch = |bi: usize| -> Vec<MegabatchPlan> {
         batches[bi]
             .chunks(config.megabatch_size)
-            .map(|slice| compose_slice(&slice.iter().map(|&i| &plans[i]).collect::<Vec<_>>()))
+            .flat_map(|slice| compose_slice(slice.iter().map(|&i| &plans[i])))
             .collect()
     };
 
@@ -406,7 +414,7 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
         let mut epoch_loss_count = 0usize;
         // The lane always composes the next batch in visit order; the first
         // batch of an epoch is composed inline.
-        let mut pending: Option<rayon::Prefetch<'_, Vec<ComposedMegabatch>>> = None;
+        let mut pending: Option<rayon::Prefetch<'_, Vec<MegabatchPlan>>> = None;
         for (vi, &bi) in visit.iter().enumerate() {
             // Claim this batch's compositions; they are dropped at the end
             // of the iteration. The span covers the lane join or the inline
@@ -462,10 +470,12 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
             let (sum, count) = val_plans
                 .par_chunks(config.megabatch_size)
                 .map(|chunk| {
-                    let composed = compose_slice(&chunk.iter().collect::<Vec<_>>());
                     let mut tape = tape_pool.acquire();
-                    let out =
-                        megabatch_loss(snapshot, composed.megabatch(), config.loss, &mut tape);
+                    let out = compose_slice(chunk)
+                        .iter()
+                        .map(|mb| megabatch_loss(snapshot, mb, config.loss, &mut tape))
+                        .reduce(|a, b| (a.0 + b.0, a.1 + b.1))
+                        .expect("non-empty validation chunk");
                     tape_pool.release(tape);
                     out
                 })
@@ -528,22 +538,26 @@ pub fn train_on_plans_with_val<M: PathPredictor>(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::entities::build_megabatch;
     use crate::model::{ExtendedRouteNet, OriginalRouteNet};
     use rn_dataset::{generate, GeneratorConfig};
     use rn_netgraph::topologies;
     use rn_netsim::SimConfig;
     use rn_nn::Layer;
 
-    fn toy_dataset(n: usize, seed: u64) -> Dataset {
-        let config = GeneratorConfig {
+    fn toy_config() -> GeneratorConfig {
+        GeneratorConfig {
             sim: SimConfig {
                 duration_s: 120.0,
                 warmup_s: 20.0,
                 ..SimConfig::default()
             },
             ..GeneratorConfig::default()
-        };
-        generate(&topologies::toy5(), &config, seed, n)
+        }
+    }
+
+    fn toy_dataset(n: usize, seed: u64) -> Dataset {
+        generate(&topologies::toy5(), &toy_config(), seed, n)
     }
 
     fn quick_train_config(epochs: usize) -> TrainConfig {
@@ -685,10 +699,13 @@ mod tests {
 
     #[test]
     fn megabatch_loss_and_gradients_are_the_mean_of_per_sample_ones() {
-        // The `sample_mean_weights` contract: one megabatch's weighted loss
+        // The `sample_mean_weights` contract: a batch slice's weighted loss
         // and gradients equal the mean over its labelled samples of each
         // sample's mean loss and gradient, computed on separate tapes.
         // Samples carry different numbers of labelled rows, and one none.
+        // The slice is checked as composed by the trainer: uniform (one
+        // megabatch), and with a two-class QoS sample beside the legacy ones
+        // (one megabatch per step period, summed).
         let ds = toy_dataset(4, 57);
         let mut model = ExtendedRouteNet::new(ModelConfig {
             state_dim: 8,
@@ -701,12 +718,33 @@ mod tests {
         let mut plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
         plans[0].reliable_idx.truncate(3);
         plans[2].reliable_idx.clear();
+        let qos_ds = generate(
+            &topologies::toy5(),
+            &GeneratorConfig {
+                qos: Some(rn_dataset::QosGenConfig::two_class_mix()),
+                ..toy_config()
+            },
+            59,
+            1,
+        );
+        let qos_plan = model.plan(&qos_ds.samples[0]);
+        assert!(qos_plan.num_queues > 0, "QoS sample must have queues");
+        let mut mixed = plans.clone();
+        mixed.insert(2, qos_plan);
+        for (slice, megabatches) in [(&plans, 1), (&mixed, 2)] {
+            mean_of_per_sample_losses_and_gradients(&model, slice, megabatches);
+        }
+    }
+
+    fn mean_of_per_sample_losses_and_gradients(
+        model: &ExtendedRouteNet,
+        plans: &[SamplePlan],
+        megabatches: usize,
+    ) {
         let labelled: Vec<&SamplePlan> = plans
             .iter()
             .filter(|p| !p.reliable_idx.is_empty())
             .collect();
-        assert_eq!(labelled.len(), 3);
-
         let n = labelled.len() as f64;
         let mut mean_loss = 0.0;
         let mut mean_grads: Vec<Matrix> = Vec::new();
@@ -731,22 +769,26 @@ mod tests {
             }
         }
 
-        let comp = ComposedMegabatch::compose(&plans.iter().collect::<Vec<_>>()).unwrap();
+        let comps = compose_slice(plans);
+        assert_eq!(comps.len(), megabatches);
         let stages = rn_trace::StageRecorder::new(train_trace::STAGES);
-        let mut g = Graph::new();
-        let (loss_sum, count, grads) = megabatch_gradients(
-            &model,
-            comp.megabatch(),
+        let (loss_sum, count, grads) = batch_gradients(
+            model,
+            &comps,
             Loss::Mse,
             labelled.len(),
-            &mut g,
+            &TapePool::new(),
             &stages,
         )
         .expect("labelled megabatch");
         assert_eq!(count, labelled.len());
         let rel = (loss_sum / n - mean_loss).abs() / mean_loss.abs();
         assert!(rel < 1e-5, "loss {} vs {mean_loss}", loss_sum / n);
-        let (val_sum, val_count) = megabatch_loss(&model, comp.megabatch(), Loss::Mse, &mut g);
+        let mut g = Graph::new();
+        let (val_sum, val_count) = comps
+            .iter()
+            .map(|mb| megabatch_loss(model, mb, Loss::Mse, &mut g))
+            .fold((0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
         assert_eq!(val_count, labelled.len());
         let rel = (val_sum / n - mean_loss).abs() / mean_loss.abs();
         assert!(rel < 1e-5, "validation loss {} vs {mean_loss}", val_sum / n);
@@ -832,10 +874,7 @@ mod tests {
         });
         model.fit_preprocessing(&ds, 1);
         let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
-        let comps: Vec<ComposedMegabatch> = plans
-            .chunks(2)
-            .map(|chunk| ComposedMegabatch::compose(&chunk.iter().collect::<Vec<_>>()).unwrap())
-            .collect();
+        let comps: Vec<MegabatchPlan> = plans.chunks(2).flat_map(compose_slice).collect();
         let labelled = plans.iter().filter(|p| !p.reliable_idx.is_empty()).count();
         let stages = rn_trace::StageRecorder::new(train_trace::STAGES);
 
@@ -855,7 +894,7 @@ mod tests {
         for c in &comps {
             let mut g = Graph::new();
             let Some((l, n, mb_grads)) =
-                megabatch_gradients(&model, c.megabatch(), Loss::Mse, labelled, &mut g, &stages)
+                megabatch_gradients(&model, c, Loss::Mse, labelled, &mut g, &stages)
             else {
                 continue;
             };
@@ -899,16 +938,16 @@ mod tests {
         });
         model.fit_preprocessing(&ds, 1);
         let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
-        let comp = ComposedMegabatch::compose(&plans.iter().collect::<Vec<_>>()).unwrap();
+        let comp = build_megabatch(&plans.iter().collect::<Vec<_>>());
         let stages = rn_trace::StageRecorder::new(train_trace::STAGES);
         let predict = |g: &mut Graph| {
             model.predict_with(g, &plans[0]);
         };
         let predict_batch = |g: &mut Graph| {
-            model.predict_megabatch_with(g, comp.megabatch());
+            model.predict_megabatch_with(g, &comp);
         };
         let train_step = |g: &mut Graph| {
-            megabatch_gradients(&model, comp.megabatch(), Loss::Mse, 2, g, &stages)
+            megabatch_gradients(&model, &comp, Loss::Mse, 2, g, &stages)
                 .expect("labelled megabatch");
         };
         for (what, run) in [

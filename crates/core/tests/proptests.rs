@@ -142,82 +142,6 @@ proptest! {
     }
 
     #[test]
-    fn structure_fingerprint_collisions_imply_identical_compiled_structure(
-        seed in any::<u64>(),
-        n in 3usize..7,
-        rate_scale in 1.01f64..3.0,
-    ) {
-        // The composition cache trusts equal structure fingerprints to mean
-        // equal compiled structure. Build a family of plans — same sample,
-        // a feature-perturbed twin, a second sample on the same topology
-        // and one from a different topology — and check the implication on
-        // every pair. The feature twin also pins the non-vacuous direction:
-        // its fingerprint MUST collide with the original's.
-        let scales = FeatureScales::unit();
-        let normalizer = Normalizer::identity();
-        let config = PlanConfig {
-            scales: &scales,
-            normalizer: &normalizer,
-            state_dim: 6,
-            min_packets: 1,
-            target: routenet::entities::TargetKind::Delay,
-        };
-        let mut rng = Prng::new(seed);
-        let topo = generators::erdos_renyi_connected(n, 0.35, 1e4, &mut rng).unwrap();
-        let sample = generate_sample(&topo, &quick_gen(), seed, 0);
-        let mut feature_twin = sample.clone();
-        for c in &mut feature_twin.link_capacities {
-            *c *= rate_scale;
-        }
-        for t in &mut feature_twin.targets {
-            t.mean_delay_s *= rate_scale;
-        }
-        let sibling = generate_sample(&topo, &quick_gen(), seed.wrapping_add(9), 1);
-        let mut rng2 = Prng::new(seed.wrapping_add(1));
-        let other_topo = generators::erdos_renyi_connected(n + 1, 0.35, 1e4, &mut rng2).unwrap();
-        let foreign = generate_sample(&other_topo, &quick_gen(), seed, 2);
-
-        let plans: Vec<routenet::SamplePlan> = [&sample, &feature_twin, &sibling, &foreign]
-            .into_iter()
-            .map(|s| build_plan(s, &config))
-            .collect();
-        prop_assert_eq!(
-            plans[0].structure_fingerprint(),
-            plans[1].structure_fingerprint(),
-            "feature-only twins must share a structure fingerprint"
-        );
-        for (i, a) in plans.iter().enumerate() {
-            for b in plans.iter().skip(i + 1) {
-                if a.structure_fingerprint() != b.structure_fingerprint() {
-                    continue;
-                }
-                // Collision => every structural field is identical.
-                prop_assert_eq!(a.n_paths, b.n_paths);
-                prop_assert_eq!(a.num_links, b.num_links);
-                prop_assert_eq!(a.num_nodes, b.num_nodes);
-                prop_assert_eq!(&a.pairs, &b.pairs);
-                prop_assert_eq!(&a.node_incidence_paths, &b.node_incidence_paths);
-                prop_assert_eq!(&a.node_incidence_nodes, &b.node_incidence_nodes);
-                let (x, y) = (&a.csr, &b.csr);
-                prop_assert_eq!(&x.kinds, &y.kinds);
-                prop_assert_eq!(&x.active, &y.active);
-                prop_assert_eq!(&x.offsets, &y.offsets);
-                prop_assert_eq!(&x.ids_flat, &y.ids_flat);
-                prop_assert_eq!(&x.active_offsets, &y.active_offsets);
-                prop_assert_eq!(&x.active_rows_flat, &y.active_rows_flat);
-                prop_assert_eq!(&x.active_ids_flat, &y.active_ids_flat);
-                // And composing from either yields one identical structure.
-                let mb_a = routenet::entities::build_megabatch(&[a, a]);
-                let mb_b = routenet::entities::build_megabatch(&[b, b]);
-                prop_assert_eq!(
-                    &mb_a.plan.csr.ids_flat,
-                    &mb_b.plan.csr.ids_flat
-                );
-            }
-        }
-    }
-
-    #[test]
     fn megabatch_forward_matches_per_sample_prediction(
         seed in any::<u64>(),
         batch in 2usize..5,

@@ -90,30 +90,18 @@ fn run() -> Result<(), String> {
     }
 
     // End-of-run server-side cache summary: how much planning the plan
-    // cache absorbed and how many dynamic batches rode a cached megabatch
-    // composition instead of a fresh `build_megabatch`.
+    // cache absorbed.
     match Client::connect(&config.addr).and_then(|mut c| {
         c.round_trip(&Request::Metrics)
             .map_err(std::io::Error::other)
     }) {
         Ok(Response::Metrics { snapshot }) => {
             eprintln!(
-                "[loadgen] server caches: plan hit rate {:.3} ({}/{} lookups), \
-                 composition hit rate {:.3} ({}/{} batches), {} distinct batch shapes",
+                "[loadgen] server plan cache: hit rate {:.3} ({}/{} lookups)",
                 snapshot.cache_hit_rate,
                 snapshot.cache_hits,
                 snapshot.cache_hits + snapshot.cache_misses,
-                snapshot.compose_hit_rate,
-                snapshot.compose_hits,
-                snapshot.compose_hits + snapshot.compose_misses,
-                snapshot.batch_shapes.len(),
             );
-            if let Some(top) = snapshot.batch_shapes.first() {
-                eprintln!(
-                    "[loadgen] hottest batch shape {:#018x}: {} batches",
-                    top.shape, top.batches
-                );
-            }
             eprintln!(
                 "[loadgen] server: {} workers, model v{}, up {:.1}s",
                 snapshot.workers, snapshot.model_version, snapshot.uptime_s

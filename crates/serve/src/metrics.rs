@@ -6,7 +6,6 @@
 //! is taken by [`ServeMetrics::snapshot`], which readers call at human
 //! frequency.
 
-use routenet::compose::ShapeCount;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -220,9 +219,8 @@ pub mod stage {
     /// plan-ref assembly, tape checkout (and any chaos delay injected
     /// before the batch region).
     pub const BATCH_ASSEMBLY: usize = 1;
-    /// Composition-cache checkout + feature refill, or a fresh
-    /// block-diagonal compose (zero-length for singleton batches, which
-    /// skip composition).
+    /// The block-diagonal compose of a multi-request run (zero-length for
+    /// singleton runs, which skip composition).
     pub const COMPOSE: usize = 2;
     /// The model forward pass over the (mega)batch.
     pub const FORWARD: usize = 3;
@@ -335,6 +333,9 @@ pub struct ServeMetrics {
     pub conn_drops: AtomicU64,
     /// Model hot-swaps performed.
     pub swaps: AtomicU64,
+    /// Multi-request megabatches composed (each one fresh; singleton runs
+    /// skip composition).
+    pub composed: AtomicU64,
     /// End-to-end request latency (enqueue → response ready).
     pub latency: LatencyHistogram,
     /// Dynamic-batch occupancy.
@@ -363,6 +364,7 @@ impl ServeMetrics {
             deadline_expired: AtomicU64::new(0),
             conn_drops: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
+            composed: AtomicU64::new(0),
             latency: LatencyHistogram::new(),
             batches: BatchHistogram::new(max_batch),
             stages: rn_trace::StageRecorder::new(stage::NAMES),
@@ -431,15 +433,10 @@ impl ServeMetrics {
             plan_hits: cache_hits,
             plan_misses: cache_misses,
             plan_len: cache_len,
-            compose_hits,
-            compose_misses,
-            compose_len,
-            batch_shapes,
         } = caches;
         let completed = self.completed.load(Ordering::Relaxed);
         let uptime = self.uptime_s();
         let lookups = cache_hits + cache_misses;
-        let compose_lookups = compose_hits + compose_misses;
         MetricsSnapshot {
             uptime_s: uptime,
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -472,15 +469,8 @@ impl ServeMetrics {
                 0.0
             },
             cache_len: cache_len as u64,
-            compose_hits,
-            compose_misses,
-            compose_hit_rate: if compose_lookups > 0 {
-                compose_hits as f64 / compose_lookups as f64
-            } else {
-                0.0
-            },
-            compose_len: compose_len as u64,
-            batch_shapes,
+            compose_hits: 0,
+            compose_misses: self.composed.load(Ordering::Relaxed),
             model_version,
             model_swaps: self.swaps.load(Ordering::Relaxed),
             queue_depth: queue_depth as u64,
@@ -498,10 +488,8 @@ impl ServeMetrics {
     }
 }
 
-/// Cache statistics the service injects into a [`MetricsSnapshot`]: the
-/// plan cache (scenario fingerprint → compiled plan) and the composition
-/// cache (ordered structure fingerprints → composed megabatch), plus the
-/// batch-shape histogram the composition cache maintains.
+/// Plan-cache statistics (scenario fingerprint → compiled plan) the
+/// service injects into a [`MetricsSnapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct CacheStats {
     /// Plan-cache hits.
@@ -510,14 +498,6 @@ pub struct CacheStats {
     pub plan_misses: u64,
     /// Plans resident.
     pub plan_len: usize,
-    /// Composition-cache hits (multi-request batches that skipped planning).
-    pub compose_hits: u64,
-    /// Composition-cache misses (batches that composed fresh).
-    pub compose_misses: u64,
-    /// Compositions resident.
-    pub compose_len: usize,
-    /// Batch-shape histogram, most-requested shapes first.
-    pub batch_shapes: Vec<ShapeCount>,
 }
 
 /// A point-in-time copy of the service metrics (JSON-serializable; returned
@@ -577,19 +557,10 @@ pub struct MetricsSnapshot {
     pub cache_hit_rate: f64,
     /// Plans resident in the cache.
     pub cache_len: u64,
-    /// Composition-cache hits: multi-request batches whose block-diagonal
-    /// structure was already composed (workers skipped `build_megabatch`
-    /// planning and only refilled features).
+    /// Always 0: no composition is reused across batches.
     pub compose_hits: u64,
-    /// Composition-cache misses: batches that composed their structure fresh.
+    /// Multi-request megabatches composed, each one fresh.
     pub compose_misses: u64,
-    /// Composition hits over lookups.
-    pub compose_hit_rate: f64,
-    /// Compositions resident in the cache.
-    pub compose_len: u64,
-    /// Batch-shape histogram: how often each distinct ordered batch shape
-    /// (hashed composition key) was requested, most frequent first.
-    pub batch_shapes: Vec<ShapeCount>,
     /// Version of the model serving right now (bumps on hot-swap).
     pub model_version: u64,
     /// Hot-swaps performed.
@@ -847,18 +818,12 @@ mod tests {
         m.completed.fetch_add(3, Ordering::Relaxed);
         m.latency.record(Duration::from_micros(250));
         m.batches.record(3, 42);
+        m.composed.fetch_add(1, Ordering::Relaxed);
         let snap = m.snapshot(
             CacheStats {
                 plan_hits: 5,
                 plan_misses: 1,
                 plan_len: 2,
-                compose_hits: 3,
-                compose_misses: 1,
-                compose_len: 1,
-                batch_shapes: vec![ShapeCount {
-                    shape: 0xfeed,
-                    batches: 4,
-                }],
             },
             7,
             0,
@@ -867,16 +832,11 @@ mod tests {
         assert_eq!(snap.completed, 3);
         assert_eq!(snap.model_version, 7);
         assert!((snap.cache_hit_rate - 5.0 / 6.0).abs() < 1e-12);
-        assert!((snap.compose_hit_rate - 0.75).abs() < 1e-12);
-        assert_eq!(snap.compose_len, 1);
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.completed, snap.completed);
         assert_eq!(back.batch_size_counts, snap.batch_size_counts);
-        assert_eq!(back.compose_hits, 3);
-        assert_eq!(back.batch_shapes.len(), 1);
-        assert_eq!(back.batch_shapes[0].shape, 0xfeed);
-        assert_eq!(back.batch_shapes[0].batches, 4);
+        assert_eq!((back.compose_hits, back.compose_misses), (0, 1));
     }
 
     #[test]
@@ -995,7 +955,6 @@ mod tests {
         let m = ServeMetrics::new(4);
         let snap = m.snapshot(CacheStats::default(), 1, 0, 1);
         assert_eq!(snap.cache_hit_rate, 0.0);
-        assert_eq!(snap.compose_hit_rate, 0.0);
-        assert!(snap.batch_shapes.is_empty());
+        assert_eq!((snap.compose_hits, snap.compose_misses), (0, 0));
     }
 }

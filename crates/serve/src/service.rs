@@ -21,12 +21,14 @@
 //!    workers were busy (occupancy rises with load, idle latency stays
 //!    minimal).
 //! 3. Each worker owns a pooled tape from a shared [`TapePool`] for the
-//!    duration of a batch and runs one fused block-diagonal forward
-//!    ([`PathPredictor::predict_batch_refs_with`]) per step period present
-//!    in it — QoS plans (node, queue, link) and legacy plans (node, link)
-//!    cannot share one — so a mixed batch runs two; steady-state serving is
-//!    allocation-free. Results are split per request and delivered through
-//!    per-request channels.
+//!    duration of a batch, splits it by step period with the core's
+//!    [`period_runs`] — QoS plans (node, queue, link) and legacy plans
+//!    (node, link) cannot share one megabatch — and composes and runs one
+//!    fused block-diagonal forward per run, so a mixed batch runs two;
+//!    steady-state serving is allocation-free. Results are split per
+//!    request and delivered through per-request channels. An answer holding
+//!    a NaN or an infinity is refused with
+//!    [`ServeError::NonFinitePrediction`] instead of delivered.
 //!
 //! ## Supervision
 //!
@@ -63,11 +65,11 @@ use crate::registry::ModelRegistry;
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 use rn_autograd::{Graph, TapePool};
 use rn_dataset::Sample;
-use routenet::compose::{ComposedMegabatch, CompositionCache};
-use routenet::entities::PlanConfig;
+use routenet::compose::period_runs;
+use routenet::entities::{MegabatchPlan, PlanConfig};
 use routenet::model::PathPredictor;
 use routenet::plan_cache::{sample_fingerprint, PlanCache};
-use routenet::{EntityKind, SamplePlan};
+use routenet::SamplePlan;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -93,13 +95,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Compiled plans kept in the shared [`PlanCache`].
     pub plan_cache_capacity: usize,
-    /// Composed megabatch structures kept in the shared
-    /// [`CompositionCache`]. The serving workload is many scenarios over a
-    /// fixed small set of graph shapes, so recurring multi-request batch
-    /// shapes check a ready composition out, refill its features and skip
-    /// `build_megabatch` planning entirely. Results are bitwise identical
-    /// either way.
-    pub compose_cache_capacity: usize,
     /// Default per-request deadline applied to submissions that do not
     /// carry their own (`None` = requests wait as long as they must). A
     /// request whose deadline passes while it queues is answered
@@ -120,7 +115,6 @@ impl Default for ServeConfig {
             flush_deadline: Duration::ZERO,
             queue_capacity: 1024,
             plan_cache_capacity: 256,
-            compose_cache_capacity: 32,
             default_deadline: None,
             chaos: ChaosPlan::none(),
         }
@@ -160,11 +154,6 @@ impl ServeConfig {
             "RN_SERVE_PLAN_CACHE",
             "compiled plans kept in the shared plan cache \
              (ServeConfig::plan_cache_capacity)",
-        ),
-        (
-            "RN_SERVE_COMPOSE_CACHE",
-            "composed megabatch structures kept for refill \
-             (ServeConfig::compose_cache_capacity)",
         ),
         (
             "RN_SERVE_REQUEST_DEADLINE_MS",
@@ -249,9 +238,6 @@ impl ServeConfig {
         if let Some(v) = positive("RN_SERVE_PLAN_CACHE") {
             self.plan_cache_capacity = v;
         }
-        if let Some(v) = positive("RN_SERVE_COMPOSE_CACHE") {
-            self.compose_cache_capacity = v;
-        }
         if let Some(ms) = u64_knob("RN_SERVE_REQUEST_DEADLINE_MS") {
             self.default_deadline = (ms > 0).then(|| Duration::from_millis(ms));
         }
@@ -305,6 +291,10 @@ pub enum ServeError {
         /// State width the plan was compiled with.
         found: usize,
     },
+    /// The model's answer for this request held a NaN or an infinity (a
+    /// non-finite weight, or a scenario that overflows it); it was refused
+    /// rather than delivered. The service keeps serving.
+    NonFinitePrediction,
 }
 
 impl std::fmt::Display for ServeError {
@@ -326,6 +316,9 @@ impl std::fmt::Display for ServeError {
                 "plan state width {found} does not match the serving model \
                  ({expected}); rebuild the plan for the current model"
             ),
+            Self::NonFinitePrediction => {
+                write!(f, "the model's prediction is not finite (NaN or infinity)")
+            }
         }
     }
 }
@@ -355,10 +348,6 @@ struct Inner<M> {
     registry: ModelRegistry<M>,
     metrics: ServeMetrics,
     plans: PlanCache,
-    /// Composed megabatch structures for recurring batch shapes (checked
-    /// out exclusively per batch, refilled with that batch's features,
-    /// published back).
-    compositions: CompositionCache,
     tapes: TapePool,
     /// Chaos injector ([`ServeConfig::chaos`]); `None` in production, so
     /// the no-chaos hot path pays one `Option` check per injection point.
@@ -401,7 +390,6 @@ impl<M: PathPredictor + 'static> Service<M> {
             metrics: ServeMetrics::new(config.max_batch),
             registry: ModelRegistry::new(model),
             plans: PlanCache::new(config.plan_cache_capacity),
-            compositions: CompositionCache::new(config.compose_cache_capacity),
             tapes: TapePool::new(),
             chaos: FaultInjector::from_plan(&config.chaos),
             config,
@@ -532,13 +520,8 @@ impl<M: PathPredictor> ServeHandle<M> {
     /// fingerprints get `UnknownPlan` and re-register (re-keying under the
     /// new preprocessing); in-flight `Arc`s stay valid for their batch.
     pub fn swap_model(&self, model: M) -> u64 {
-        let state_dim = model.config().state_dim;
         let version = self.inner.registry.swap(model);
         self.inner.plans.clear();
-        // Compositions are preprocessing-independent, so same-width entries
-        // stay useful across the swap; entries compiled for a different
-        // state width can never be keyed again and are purged.
-        self.inner.compositions.retain_width(state_dim);
         self.inner.metrics.swaps.fetch_add(1, Ordering::Relaxed);
         version
     }
@@ -556,10 +539,6 @@ impl<M: PathPredictor> ServeHandle<M> {
                 plan_hits: self.inner.plans.hits(),
                 plan_misses: self.inner.plans.misses(),
                 plan_len: self.inner.plans.len(),
-                compose_hits: self.inner.compositions.hits(),
-                compose_misses: self.inner.compositions.misses(),
-                compose_len: self.inner.compositions.len(),
-                batch_shapes: self.inner.compositions.shape_counts(),
             },
             self.inner.registry.version(),
             queue_depth,
@@ -767,7 +746,7 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
         }
         let riders = group.len();
         let total_paths: usize = group.iter().map(|j| j.plan.n_paths).sum();
-        let runs = period_runs(group);
+        let runs = period_runs(group, |job| job.plan.as_ref());
 
         // The batch region: everything that can panic on a model/kernel bug
         // (or injected chaos) runs under `catch_unwind`, borrowing `runs`
@@ -798,6 +777,13 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
                 let stages = &inner.metrics.stages;
                 for (run, out) in runs.into_iter().zip(outs) {
                     for (job, delays) in run.into_iter().zip(out.results) {
+                        if delays.iter().any(|d| !d.is_finite()) {
+                            inner.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                            job.respond
+                                .try_send(Err(ServeError::NonFinitePrediction))
+                                .ok();
+                            continue;
+                        }
                         inner.metrics.latency.record(done - job.enqueued);
                         // The five stages decompose `done - enqueued`
                         // exactly: adjacent stages share their boundary
@@ -834,37 +820,6 @@ fn worker_loop<M: PathPredictor>(inner: &Inner<M>) {
     }
 }
 
-/// The repeating entity-kind cycle of a plan's path sequence: node, link
-/// for legacy plans, node, queue, link for QoS ones (empty without steps).
-/// Read off the sequence itself, so two plans with equal periods agree on
-/// the kind at every position both carry — exactly what composing them into
-/// one megabatch requires.
-fn step_period(plan: &SamplePlan) -> &[EntityKind] {
-    let kinds = &plan.csr.kinds;
-    let len = (1..=kinds.len())
-        .find(|&p| (p..kinds.len()).all(|i| kinds[i] == kinds[i % p]))
-        .unwrap_or(0);
-    &kinds[..len]
-}
-
-/// Split a flush into runs of equal [`step_period`], in order of first
-/// appearance. A batch mixing QoS and legacy scenarios cannot share one
-/// block-diagonal forward; each run gets its own.
-fn period_runs(jobs: Vec<Job>) -> Vec<Vec<Job>> {
-    let mut runs: Vec<Vec<Job>> = Vec::with_capacity(1);
-    for job in jobs {
-        let period = step_period(&job.plan);
-        match runs
-            .iter_mut()
-            .find(|run| step_period(&run[0].plan) == period)
-        {
-            Some(run) => run.push(job),
-            None => runs.push(vec![job]),
-        }
-    }
-    runs
-}
-
 /// One run's predictions plus its stage-boundary instants (`compose starts`
 /// / `forward starts` / `forward done`), which ride out of the batch region
 /// so completed requests can be attributed per stage — three clock reads
@@ -876,7 +831,10 @@ struct RunOutput {
     t_forward_end: Instant,
 }
 
-/// One forward over a run of plans sharing a step period.
+/// Compose and forward one run of plans sharing a step period. A lone
+/// plan is its own megabatch and skips composition, exactly as
+/// [`PathPredictor::predict_batch_refs_with`] special-cases it; so results
+/// are bitwise that call's either way.
 fn forward_run<M: PathPredictor>(
     inner: &Inner<M>,
     model: &M,
@@ -884,39 +842,24 @@ fn forward_run<M: PathPredictor>(
     refs: &[&SamplePlan],
 ) -> RunOutput {
     let t_compose = Instant::now();
-    let (results, t_forward, t_forward_end) = if refs.len() > 1 {
-        // Multi-request runs go through the composition cache: a recurring
-        // batch shape checks its composed block-diagonal structure out,
-        // refills the feature rows for *these* requests and skips
-        // `build_megabatch` planning entirely. Misses compose fresh and
-        // publish for the next batch with this shape. Bitwise identical to
-        // `predict_batch_refs_with` either way.
-        let key = CompositionCache::key_of(refs);
-        let composed = match inner.compositions.checkout(&key) {
-            Some(mut cached) => {
-                cached.refill_features(refs);
-                cached
-            }
-            None => ComposedMegabatch::compose(refs)
-                .expect("worker run is non-empty, width-checked and of one step period"),
-        };
-        let t_forward = Instant::now();
-        let out = model.predict_megabatch_with(tape, composed.megabatch());
-        let t_forward_end = Instant::now();
-        inner.compositions.publish(composed);
-        (out, t_forward, t_forward_end)
-    } else {
-        // Single-request runs take the legacy (bitwise-seed) path, exactly
-        // as `predict_batch_refs_with` special-cases them.
-        let t_forward = Instant::now();
-        let out = model.predict_batch_refs_with(tape, refs);
-        (out, t_forward, Instant::now())
+    let (results, t_forward) = match refs {
+        [plan] => {
+            let t_forward = Instant::now();
+            (vec![model.predict_with(tape, plan)], t_forward)
+        }
+        _ => {
+            let mb = MegabatchPlan::compose(refs)
+                .expect("worker run is non-empty, width-checked and of one step period");
+            inner.metrics.composed.fetch_add(1, Ordering::Relaxed);
+            let t_forward = Instant::now();
+            (model.predict_megabatch_with(tape, &mb), t_forward)
+        }
     };
     RunOutput {
         results,
         t_compose,
         t_forward,
-        t_forward_end,
+        t_forward_end: Instant::now(),
     }
 }
 
@@ -994,10 +937,6 @@ mod tests {
                 overridden.plan_cache_capacity != defaults.plan_cache_capacity,
             ),
             (
-                "RN_SERVE_COMPOSE_CACHE",
-                overridden.compose_cache_capacity != defaults.compose_cache_capacity,
-            ),
-            (
                 "RN_SERVE_REQUEST_DEADLINE_MS",
                 overridden.default_deadline != defaults.default_deadline,
             ),
@@ -1052,7 +991,6 @@ mod tests {
         assert_eq!(a.flush_deadline, b.flush_deadline);
         assert_eq!(a.queue_capacity, b.queue_capacity);
         assert_eq!(a.plan_cache_capacity, b.plan_cache_capacity);
-        assert_eq!(a.compose_cache_capacity, b.compose_cache_capacity);
         assert_eq!(a.default_deadline, b.default_deadline);
         assert_eq!(a.chaos, b.chaos);
         assert!(b.chaos.is_none(), "no chaos unless explicitly enabled");

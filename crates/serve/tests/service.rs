@@ -408,12 +408,10 @@ fn tcp_protocol_round_trips_and_matches_direct_predictions() {
 }
 
 #[test]
-fn composition_cache_hits_recurring_batch_shapes_bitwise() {
-    // Same four scenarios submitted round after round: after the first
-    // rounds, recurring multi-request batch shapes must be answered from
-    // cached compositions (structure reused, features refilled) — with bits
-    // identical to a direct predict_batch, and the metrics must show
-    // composition hits plus a populated batch-shape histogram.
+fn recurring_multi_request_batches_are_bitwise_identical_to_predict_batch() {
+    // Same four scenarios submitted round after round, so each round's
+    // requests ride one (or few) multi-request batches, each composed fresh:
+    // every answer must carry the bits of a direct predict_batch.
     let ds = toy_dataset(4, 41);
     let model = fitted_model(&ds, 5);
     let plans: Vec<Arc<SamplePlan>> = ds.samples.iter().map(|s| Arc::new(model.plan(s))).collect();
@@ -429,10 +427,8 @@ fn composition_cache_hits_recurring_batch_shapes_bitwise() {
         ServeConfig {
             workers: 1,
             max_batch: 4,
-            // A generous deadline so each round's four requests ride one
-            // (or few) multi-request batches whose shapes recur.
+            // A generous deadline so each round's four requests batch up.
             flush_deadline: Duration::from_millis(25),
-            compose_cache_capacity: 8,
             ..ServeConfig::default()
         },
     );
@@ -452,7 +448,7 @@ fn composition_cache_hits_recurring_batch_shapes_bitwise() {
                 assert_eq!(
                     bits(&served),
                     reference[b],
-                    "cached-composition serving changed bits for sample {b}"
+                    "multi-request serving changed bits for sample {b}"
                 );
             }
         });
@@ -461,37 +457,14 @@ fn composition_cache_hits_recurring_batch_shapes_bitwise() {
     let m = handle.metrics();
     assert_eq!(m.completed, 48);
     assert_eq!(m.errors, 0);
-    assert!(
-        m.compose_hits >= 1,
-        "recurring batch shapes must hit the composition cache \
-         (hits {}, misses {})",
-        m.compose_hits,
-        m.compose_misses
-    );
-    assert!(m.compose_len >= 1, "compositions must stay resident");
-    assert!(
-        (m.compose_hit_rate - m.compose_hits as f64 / (m.compose_hits + m.compose_misses) as f64)
-            .abs()
-            < 1e-12
-    );
-    assert!(
-        !m.batch_shapes.is_empty(),
-        "the batch-shape histogram must be populated"
-    );
-    let requested: u64 = m.batch_shapes.iter().map(|s| s.batches).sum();
-    assert_eq!(
-        requested,
-        m.compose_hits + m.compose_misses,
-        "histogram rows must account for every multi-request batch"
-    );
+    assert_eq!(m.compose_hits, 0, "no composition is reused");
     service.shutdown();
 }
 
 #[test]
-fn composition_cache_survives_hot_swap_with_refilled_features() {
-    // A hot-swap to a same-width model keeps cached compositions useful:
-    // the structure is model-independent, and feature refill happens per
-    // batch anyway. Post-swap batches must produce model B's exact bits.
+fn hot_swap_to_a_same_width_model_serves_its_bits_in_multi_request_batches() {
+    // Post-swap batches must produce model B's exact bits, whatever model A
+    // served before the swap.
     let ds = toy_dataset(3, 43);
     let model_a = fitted_model(&ds, 1);
     let model_b = fitted_model(&ds, 2);
@@ -517,7 +490,7 @@ fn composition_cache_survives_hot_swap_with_refilled_features() {
         },
     );
     let handle = service.handle();
-    // Warm the composition cache under model A.
+    // Serve a few rounds under model A first.
     for _ in 0..3 {
         std::thread::scope(|s| {
             for plan in &plans {
@@ -528,8 +501,7 @@ fn composition_cache_survives_hot_swap_with_refilled_features() {
         });
     }
     handle.swap_model(model_b);
-    // Post-swap, served bits must be model B's — even when the batch rides
-    // a composition cached under model A.
+    // Post-swap, served bits must be model B's.
     std::thread::scope(|s| {
         let joins: Vec<_> = plans
             .iter()
@@ -550,24 +522,6 @@ fn composition_cache_survives_hot_swap_with_refilled_features() {
     let m = handle.metrics();
     assert_eq!(m.errors, 0);
 
-    // A swap to a *resized* model purges the now-unkeyable old-width
-    // compositions (same-width entries survived the A→B swap above).
-    if m.compose_len > 0 {
-        let mut wide = ExtendedRouteNet::new(ModelConfig {
-            state_dim: 16,
-            mp_iterations: 2,
-            readout_hidden: 16,
-            seed: 9,
-            ..ModelConfig::default()
-        });
-        wide.fit_preprocessing(&ds, 5);
-        handle.swap_model(wide);
-        assert_eq!(
-            handle.metrics().compose_len,
-            0,
-            "resized hot-swap must purge stale-width compositions"
-        );
-    }
     service.shutdown();
 }
 
@@ -623,6 +577,51 @@ fn hot_swap_refuses_non_finite_weights_and_keeps_serving() {
     for path in [nan_path, inf_path] {
         std::fs::remove_file(path).ok();
     }
+    service.shutdown();
+}
+
+#[test]
+fn non_finite_predictions_are_refused_and_the_service_keeps_answering() {
+    // A model started directly with a NaN weight (no load_and_swap check)
+    // answers NaN delays; the service must refuse them with an error, count
+    // it, keep answering, and serve again once a sound model is swapped in.
+    let ds = toy_dataset(2, 33);
+    let sound = fitted_model(&ds, 1);
+    let mut broken = sound.clone();
+    let last = broken.params().len() - 1;
+    broken.params_mut()[last].as_mut_slice()[0] = f32::NAN;
+    let plan = Arc::new(sound.plan(&ds.samples[0]));
+    let expected = bits(&sound.predict(&plan));
+
+    let service = Service::start(
+        broken,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let handle = service.handle();
+    for _ in 0..2 {
+        assert_eq!(
+            handle.predict_plan(Arc::clone(&plan)),
+            Err(ServeError::NonFinitePrediction)
+        );
+    }
+    let line = serde_json::to_string(&Request::Predict {
+        sample: ds.samples[1].clone(),
+        deadline_ms: None,
+    })
+    .expect("encode");
+    match rn_serve::server::respond_line(&handle, &line) {
+        Response::Error { message } => assert!(message.contains("not finite"), "{message}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    let m = handle.metrics();
+    assert_eq!((m.errors, m.completed, m.worker_panics), (3, 0, 0));
+
+    handle.swap_model(sound);
+    let served = handle.predict_plan(plan).expect("sound model answers");
+    assert_eq!(bits(&served), expected);
     service.shutdown();
 }
 

@@ -1,20 +1,18 @@
-//! Golden bit-identity tests for the megabatch composition layer.
+//! Golden bit-identity tests for megabatch composition.
 //!
-//! The contract under test: a cached [`ComposedMegabatch`] whose features
-//! were **refilled** for a new batch is bitwise identical to a fresh
-//! `build_megabatch` over that batch — predictions AND gradients, across
-//! training epochs and across model hot-swaps (same structure, new
-//! preprocessing). Structure reuse must be invisible to the numerics; only
-//! the planning cost may change.
+//! The contract under test: composition is invisible to the numerics.
+//! Recomposing a batch slice reproduces the first composition bit for bit,
+//! multi-epoch training through the streamed batch schedule reproduces
+//! itself, and a step whose loss gather borrows shared index views copies
+//! no index words yet matches a copying step bitwise.
 
 use rn_autograd::Graph;
-use rn_dataset::{generate, Dataset, GeneratorConfig, Sample};
+use rn_dataset::{generate, Dataset, GeneratorConfig};
 use rn_netgraph::topologies;
 use rn_netsim::SimConfig;
 use rn_nn::Layer;
 use rn_tensor::Matrix;
-use routenet::compose::{ComposedMegabatch, CompositionCache};
-use routenet::entities::{build_megabatch, MegabatchPlan};
+use routenet::entities::MegabatchPlan;
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, SamplePlan};
 
@@ -42,36 +40,10 @@ fn fitted_model(ds: &Dataset, weight_seed: u64) -> ExtendedRouteNet {
     model
 }
 
-/// Feature-only mutation: routing, topology and queue layout untouched, so
-/// the per-sample structure fingerprints must not move. One sample also
-/// loses a reliable label, so the refill path has to rewrite reliability
-/// and loss weights, not just the feature matrices.
-fn perturb_features(samples: &[Sample]) -> Vec<Sample> {
-    let mut out: Vec<Sample> = samples.to_vec();
-    for (i, s) in out.iter_mut().enumerate() {
-        for c in &mut s.link_capacities {
-            *c *= 1.0 + 0.05 * (i as f64 + 1.0);
-        }
-        for t in &mut s.targets {
-            t.mean_delay_s *= 1.25;
-        }
-    }
-    // Knock one label out entirely: reliable_idx (a feature) must shrink.
-    out[0].targets[0].delivered = 0;
-    out[0].targets[0].mean_delay_s = 0.0;
-    out
-}
-
-/// One fused forward + backward on the megabatch; returns the loss bits and
-/// every parameter gradient.
-fn megabatch_step(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> (u32, Vec<Matrix>) {
-    let (loss, grads, _) = counted_step(model, mb, false);
-    (loss, grads)
-}
-
-/// [`megabatch_step`] with the loss gather borrowing a shared view of the
-/// reliable rows (or copying them); also returns how many index words the
-/// tape copied while recording.
+/// One fused forward + backward on the megabatch, the loss gather borrowing
+/// a shared view of the reliable rows (or copying them); returns the loss
+/// bits, every parameter gradient and how many index words the tape copied
+/// while recording.
 fn counted_step(
     model: &ExtendedRouteNet,
     mb: &MegabatchPlan,
@@ -102,96 +74,6 @@ fn prediction_bits(model: &ExtendedRouteNet, mb: &MegabatchPlan) -> Vec<Vec<u64>
         .iter()
         .map(|v| v.iter().map(|x| x.to_bits()).collect())
         .collect()
-}
-
-#[test]
-fn cached_refill_is_bitwise_identical_to_fresh_build() {
-    let ds_a = nsfnet_dataset(4, 20_260_729);
-    let model = fitted_model(&ds_a, 11);
-    let plans_a: Vec<SamplePlan> = ds_a.samples.iter().map(|s| model.plan(s)).collect();
-    let samples_b = perturb_features(&ds_a.samples);
-    let plans_b: Vec<SamplePlan> = samples_b.iter().map(|s| model.plan(s)).collect();
-    let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
-    let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
-    assert_eq!(
-        CompositionCache::key_of(&parts_a),
-        CompositionCache::key_of(&parts_b),
-        "feature perturbation must not move the structure key"
-    );
-    assert_ne!(
-        plans_a[0].reliable_idx, plans_b[0].reliable_idx,
-        "the perturbation must change reliability, or refill is under-tested"
-    );
-
-    // Compose once from batch A, then refill for batch B — the cache-hit
-    // path a serving worker takes.
-    let mut composed = ComposedMegabatch::compose(&parts_a).expect("compose");
-    composed.refill_features(&parts_b);
-    let fresh_b = build_megabatch(&parts_b);
-
-    // Predictions: bitwise across the refill.
-    assert_eq!(
-        prediction_bits(&model, composed.megabatch()),
-        prediction_bits(&model, &fresh_b),
-        "refilled composition changed prediction bits"
-    );
-
-    // Gradients: bitwise across the refill.
-    let (loss_fresh, grads_fresh) = megabatch_step(&model, &fresh_b);
-    let (loss_cached, grads_cached) = megabatch_step(&model, composed.megabatch());
-    assert_eq!(loss_fresh, loss_cached, "loss bits diverged");
-    assert_eq!(grads_fresh.len(), grads_cached.len());
-    for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
-        assert!(a.approx_eq(b, 0.0), "gradient {i} diverged");
-    }
-
-    // Round-trip: refilling back to batch A reproduces a fresh A bitwise.
-    composed.refill_features(&parts_a);
-    let fresh_a = build_megabatch(&parts_a);
-    assert_eq!(
-        prediction_bits(&model, composed.megabatch()),
-        prediction_bits(&model, &fresh_a)
-    );
-}
-
-#[test]
-fn cached_refill_is_bitwise_identical_across_hot_swapped_models() {
-    // The serving scenario: a composition cached under model v1 survives a
-    // hot-swap (structure is preprocessing-independent) and is refilled
-    // with plans compiled under v2's preprocessing. Results must carry v2's
-    // exact bits.
-    let ds = nsfnet_dataset(3, 777);
-    let other = nsfnet_dataset(6, 778);
-    let model_v1 = fitted_model(&ds, 1);
-    // Same width, different weights AND different preprocessing (fitted on
-    // a different dataset), so v2 plans differ in every feature.
-    let model_v2 = fitted_model(&other, 2);
-    assert_eq!(model_v2.config().state_dim, model_v1.config().state_dim);
-
-    let plans_v1: Vec<SamplePlan> = ds.samples.iter().map(|s| model_v1.plan(s)).collect();
-    let plans_v2: Vec<SamplePlan> = ds.samples.iter().map(|s| model_v2.plan(s)).collect();
-    let parts_v1: Vec<&SamplePlan> = plans_v1.iter().collect();
-    let parts_v2: Vec<&SamplePlan> = plans_v2.iter().collect();
-    assert_eq!(
-        CompositionCache::key_of(&parts_v1),
-        CompositionCache::key_of(&parts_v2),
-        "preprocessing changes must not move the structure key"
-    );
-
-    let mut composed = ComposedMegabatch::compose(&parts_v1).expect("compose under v1");
-    composed.refill_features(&parts_v2);
-    let fresh_v2 = build_megabatch(&parts_v2);
-    assert_eq!(
-        prediction_bits(&model_v2, composed.megabatch()),
-        prediction_bits(&model_v2, &fresh_v2),
-        "post-swap refill changed prediction bits"
-    );
-    let (loss_fresh, grads_fresh) = megabatch_step(&model_v2, &fresh_v2);
-    let (loss_cached, grads_cached) = megabatch_step(&model_v2, composed.megabatch());
-    assert_eq!(loss_fresh, loss_cached);
-    for (i, (a, b)) in grads_fresh.iter().zip(&grads_cached).enumerate() {
-        assert!(a.approx_eq(b, 0.0), "post-swap gradient {i} diverged");
-    }
 }
 
 #[test]
@@ -238,26 +120,25 @@ fn streaming_composition_slices_match_whole_batch_compose() {
         .chunks(megabatch_size)
         .map(|slice| {
             let parts: Vec<&SamplePlan> = slice.iter().collect();
-            ComposedMegabatch::compose(&parts).unwrap().into_plan()
+            MegabatchPlan::compose(&parts).unwrap()
         })
         .collect();
     // Recompose each slice independently (as a later epoch of the trainer
     // does) and compare bit for bit, forward included.
     for (si, slice) in plans.chunks(megabatch_size).enumerate() {
         let parts: Vec<&SamplePlan> = slice.iter().collect();
-        let streamed = ComposedMegabatch::compose(&parts).unwrap();
+        let streamed = MegabatchPlan::compose(&parts).unwrap();
         assert_eq!(
             prediction_bits(&model, &whole[si]),
-            prediction_bits(&model, streamed.megabatch()),
+            prediction_bits(&model, &streamed),
             "slice {si}: streamed composition changed prediction bits"
         );
         assert_eq!(
-            streamed.plan().reliable_idx,
-            whole[si].plan.reliable_idx,
+            streamed.plan.reliable_idx, whole[si].plan.reliable_idx,
             "slice {si}: reliability diverged"
         );
         assert!(streamed
-            .plan()
+            .plan
             .targets_norm
             .approx_eq(&whole[si].plan.targets_norm, 0.0));
     }
@@ -265,7 +146,7 @@ fn streaming_composition_slices_match_whole_batch_compose() {
 
 #[test]
 fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
-    // Steps against a cached composition bind Arc-backed views of its
+    // Steps against a composed megabatch bind Arc-backed views of its
     // index buffers instead of pooled copies. Two contracts: (1) a full
     // training step copies ZERO index words — every gather/scatter list is
     // a refcount bump — and (2) loss bits and every parameter gradient are
@@ -274,8 +155,7 @@ fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
     let model = fitted_model(&ds, 13);
     let plans: Vec<SamplePlan> = ds.samples.iter().map(|s| model.plan(s)).collect();
     let parts: Vec<&SamplePlan> = plans.iter().collect();
-    let composed = ComposedMegabatch::compose(&parts).expect("compose");
-    let mb = composed.megabatch();
+    let mb = &MegabatchPlan::compose(&parts).expect("compose");
 
     let (loss_copied, grads_copied, words_copied) = counted_step(&model, mb, false);
     assert_eq!(
@@ -284,10 +164,7 @@ fn zero_copy_steps_are_bitwise_identical_and_copy_no_index_words() {
         "only the copied loss gather may count index traffic"
     );
     let (loss_shared, grads_shared, words_shared) = counted_step(&model, mb, true);
-    assert_eq!(
-        words_shared, 0,
-        "a cached-composition step copied index words"
-    );
+    assert_eq!(words_shared, 0, "a shared-view step copied index words");
     assert_eq!(loss_copied, loss_shared, "loss bits diverged");
     assert_eq!(grads_copied.len(), grads_shared.len());
     for (i, (a, b)) in grads_copied.iter().zip(&grads_shared).enumerate() {

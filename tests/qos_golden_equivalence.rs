@@ -14,7 +14,6 @@ use rn_netgraph::topologies;
 use rn_netsim::{ClassStats, SchedulingPolicy, SimConfig, TrafficProfile};
 use rn_nn::Layer;
 use rn_tensor::Matrix;
-use routenet::compose::{ComposedMegabatch, CompositionCache};
 use routenet::entities::MegabatchPlan;
 use routenet::model::PathPredictor;
 use routenet::{ExtendedRouteNet, ModelConfig, QosRouteNet, SamplePlan};
@@ -138,28 +137,43 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers_and_index_mo
     let parts_qos: Vec<&SamplePlan> = plans_qos.iter().collect();
     let parts_ext: Vec<&SamplePlan> = plans_ext.iter().collect();
 
-    // The degenerate QoS spec is structurally invisible: same composition
-    // key, no queue entities anywhere in the composed batch.
+    // The degenerate QoS spec is structurally invisible: the composed
+    // batches share one compiled structure, with no queue entities in it.
+    let composed_qos = MegabatchPlan::compose(&parts_qos).expect("compose QoS parts");
+    let composed_ext = MegabatchPlan::compose(&parts_ext).expect("compose legacy parts");
+    let (q, e) = (&composed_qos.plan, &composed_ext.plan);
+    assert_eq!(q.num_queues, 0);
     assert_eq!(
-        CompositionCache::key_of(&parts_qos),
-        CompositionCache::key_of(&parts_ext),
-        "single-class FIFO QoS must not move the structure key"
+        (q.n_paths, q.num_links, q.num_nodes, q.num_queues),
+        (e.n_paths, e.num_links, e.num_nodes, e.num_queues),
+        "single-class FIFO QoS must not move the entity counts"
     );
-    let composed_qos = ComposedMegabatch::compose(&parts_qos).expect("compose QoS parts");
-    let composed_ext = ComposedMegabatch::compose(&parts_ext).expect("compose legacy parts");
-    assert_eq!(composed_qos.plan().num_queues, 0);
+    assert_eq!(q.pairs, e.pairs);
+    assert_eq!(q.node_incidence_paths, e.node_incidence_paths);
+    assert_eq!(q.node_incidence_nodes, e.node_incidence_nodes);
+    let (x, y) = (&q.csr, &e.csr);
+    assert_eq!(
+        x.kinds, y.kinds,
+        "single-class FIFO QoS must not move the schedule"
+    );
+    assert_eq!(x.active, y.active);
+    assert_eq!(x.offsets, y.offsets);
+    assert_eq!(x.ids_flat, y.ids_flat);
+    assert_eq!(x.active_offsets, y.active_offsets);
+    assert_eq!(x.active_rows_flat, y.active_rows_flat);
+    assert_eq!(x.active_ids_flat, y.active_ids_flat);
 
     // Predictions: bitwise across models and compose paths.
     assert_eq!(
-        prediction_bits(&qos, composed_qos.megabatch()),
-        prediction_bits(&ext, composed_ext.megabatch()),
+        prediction_bits(&qos, &composed_qos),
+        prediction_bits(&ext, &composed_ext),
         "FIFO-only predictions diverged from the two-entity baseline"
     );
 
     // Gradients: bitwise on 1, 2 and 4 concurrent workers, with the loss
     // rows copied or shared. The queue GRU must stay exactly zero — the
     // loss never touches it.
-    let (loss_ref, grads_ref) = megabatch_step(&ext, composed_ext.megabatch(), false);
+    let (loss_ref, grads_ref) = megabatch_step(&ext, &composed_ext, false);
     for shared in [false, true] {
         for workers in [1, 2, 4] {
             let results: Vec<_> = std::thread::scope(|scope| {
@@ -167,8 +181,8 @@ fn fifo_only_batches_are_bitwise_identical_to_legacy_across_workers_and_index_mo
                     .map(|_| {
                         scope.spawn(|| {
                             (
-                                megabatch_step(&qos, composed_qos.megabatch(), shared),
-                                megabatch_step(&ext, composed_ext.megabatch(), shared),
+                                megabatch_step(&qos, &composed_qos, shared),
+                                megabatch_step(&ext, &composed_ext, shared),
                             )
                         })
                     })
@@ -224,69 +238,5 @@ fn fifo_only_single_sample_predictions_are_bitwise_identical() {
         let plan_q = qos.plan(&fifo);
         assert_eq!(plan_q.num_queues, 0);
         assert_eq!(qos.predict(&plan_q), ext.predict(&plan_e));
-    }
-}
-
-#[test]
-fn qos_batches_refill_bitwise_like_legacy_ones() {
-    // The composition-cache contract extends to queue entities: a cached
-    // QoS composition refilled with new features (including new queue_init
-    // from a changed policy) matches a fresh build bitwise.
-    let gen_config = GeneratorConfig {
-        sim: SimConfig {
-            duration_s: 30.0,
-            warmup_s: 5.0,
-            ..SimConfig::default()
-        },
-        qos: Some(rn_dataset::QosGenConfig::two_class_mix()),
-        ..GeneratorConfig::default()
-    };
-    let ds = generate(&topologies::nsfnet_default(), &gen_config, 4242, 3);
-    let mut qos = QosRouteNet::new(model_config(3));
-    qos.fit_preprocessing(&ds, 5);
-
-    // Feature-only perturbation: swap every sample's policy for a WFQ with
-    // different weights — same class count, so the structure key holds but
-    // queue_init must be rewritten by the refill.
-    let perturbed: Vec<Sample> = ds
-        .samples
-        .iter()
-        .map(|s| {
-            let mut out = s.clone();
-            let q = out.qos.as_mut().expect("QoS sample");
-            q.policy = SchedulingPolicy::Wfq {
-                weights: (0..q.num_classes()).map(|c| 1.0 + 4.0 * c as f64).collect(),
-            };
-            out
-        })
-        .collect();
-    let plans_a: Vec<SamplePlan> = ds.samples.iter().map(|s| qos.plan(s)).collect();
-    let plans_b: Vec<SamplePlan> = perturbed.iter().map(|s| qos.plan(s)).collect();
-    let parts_a: Vec<&SamplePlan> = plans_a.iter().collect();
-    let parts_b: Vec<&SamplePlan> = plans_b.iter().collect();
-    assert_eq!(
-        CompositionCache::key_of(&parts_a),
-        CompositionCache::key_of(&parts_b),
-        "a policy swap at equal class count must not move the structure key"
-    );
-    assert!(
-        !plans_a[0].queue_init.approx_eq(&plans_b[0].queue_init, 0.0),
-        "the policy swap must actually change queue features"
-    );
-
-    let mut composed = ComposedMegabatch::compose(&parts_a).expect("compose");
-    assert!(composed.plan().num_queues > 0);
-    composed.refill_features(&parts_b);
-    let fresh_b = ComposedMegabatch::compose(&parts_b).expect("compose fresh");
-    assert_eq!(
-        prediction_bits(&qos, composed.megabatch()),
-        prediction_bits(&qos, fresh_b.megabatch()),
-        "refilled QoS composition changed prediction bits"
-    );
-    let (loss_c, grads_c) = megabatch_step(&qos, composed.megabatch(), false);
-    let (loss_f, grads_f) = megabatch_step(&qos, fresh_b.megabatch(), false);
-    assert_eq!(loss_c, loss_f, "refilled composition changed the loss bits");
-    for (i, (a, b)) in grads_c.iter().zip(&grads_f).enumerate() {
-        assert!(a.approx_eq(b, 0.0), "gradient {i} diverged after refill");
     }
 }
